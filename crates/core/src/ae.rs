@@ -40,6 +40,19 @@
 //! This closes the WOR bias documented in ROADMAP.md: on the noise-free
 //! 900-distinct / 20%-WOR fixture the WR form returns ≈ 1009 (+12%) while
 //! the hypergeometric form lands within 5% of the truth.
+//!
+//! Each solve splits the fixed point into a per-solve part and a per-`m`
+//! part. Everything that does not depend on `m` is computed once per
+//! solve: `L = f₁ + 2f₂`, the `i ≥ 3` sums of numerator and denominator,
+//! and under WOR `ln C(n, r)` plus the constant `ln Γ(r+1)`, `ln Γ(r)`,
+//! `ln Γ(r−1)` of every `ln C(·, r−k)`. Each root-finder step then
+//! evaluates only the low block: a closed form under WR, and under WOR a
+//! 64-step bisection for the low classes' size. Every hoisted value keeps
+//! its expression and summation order, so `m̂`, the root finder's path and
+//! `core.ae.solve_iters` are bit-identical to evaluating the whole equation
+//! at every step. Under WOR, AE-EXP solves the identical hypergeometric
+//! equation (its `e^{−i}` shortcut approximates the binomial only), so
+//! there it costs the same as AE.
 
 use crate::design::SampleDesign;
 use crate::estimator::DistinctEstimator;
@@ -49,10 +62,11 @@ use dve_numeric::roots::brent;
 use dve_numeric::special::ln_gamma;
 use std::sync::{Arc, OnceLock};
 
-/// `ln C(x, y)` for real (non-integer) arguments via `ln Γ`. Requires
-/// `x ≥ y ≥ 0`; callers guard the degenerate regions before calling.
-fn ln_choose_real(x: f64, y: f64) -> f64 {
-    ln_gamma(x + 1.0) - ln_gamma(y + 1.0) - ln_gamma(x - y + 1.0)
+/// `ln C(x, y)` for real (non-integer) arguments via `ln Γ`, given the
+/// caller's precomputed `ln_gamma_y1 = ln Γ(y + 1)`. Requires `x ≥ y ≥ 0`;
+/// callers guard the degenerate regions before calling.
+fn ln_choose_real(x: f64, y: f64, ln_gamma_y1: f64) -> f64 {
+    ln_gamma(x + 1.0) - ln_gamma_y1 - ln_gamma(x - y + 1.0)
 }
 
 /// Residual evaluations per `solve_m` call (`core.ae.solve_iters`).
@@ -108,69 +122,263 @@ impl AdaptiveEstimator {
     /// the without-replacement form swaps the binomial terms for their
     /// hypergeometric analogs (see the module docs).
     pub fn residual_for(&self, profile: &FrequencyProfile, design: SampleDesign, m: f64) -> f64 {
+        FixedPoint::new(self.form, profile, design).residual(m)
+    }
+
+    /// Solves for `m̂` on `[f₁ + f₂, n]`.
+    ///
+    /// Boundary behavior:
+    /// * `f₁ = 0` — the equation forces `m = f₁ + f₂`; `D̂ = d`.
+    /// * residual never crosses zero and stays negative (all-singleton
+    ///   samples) — the data is consistent with everything being distinct;
+    ///   return the upper boundary `n` (the clamp caps `D̂` at `n`).
+    pub fn solve_m(&self, profile: &FrequencyProfile) -> f64 {
+        self.solve_m_for(profile, SampleDesign::WithReplacement)
+    }
+
+    /// Solves the fixed point for an explicit sampling design; the
+    /// with-replacement design reproduces [`AdaptiveEstimator::solve_m`]
+    /// bit-for-bit. Bracket and boundary behavior are shared across
+    /// designs (see [`AdaptiveEstimator::solve_m`]).
+    pub fn solve_m_for(&self, profile: &FrequencyProfile, design: SampleDesign) -> f64 {
         let f1 = profile.f(1) as f64;
         let f2 = profile.f(2) as f64;
-        m - f1 - f2 - f1 * self.k_of_m(profile, design, m)
-    }
-
-    /// The adaptive coefficient `K(m)` for a hypothesized low-frequency
-    /// class count `m`, dispatching on the sampling design.
-    fn k_of_m(&self, profile: &FrequencyProfile, design: SampleDesign, m: f64) -> f64 {
-        match design {
-            SampleDesign::WithReplacement => self.k_of_m_wr(profile, m),
-            SampleDesign::WithoutReplacement { n } => self.k_of_m_wor(profile, n, m),
+        if f1 == 0.0 {
+            return f1 + f2;
         }
+        let fixed_point = FixedPoint::new(self.form, profile, design);
+        let (m_hat, iters) = fixed_point.solve(profile.table_size() as f64);
+        solve_iters_hist().record(iters);
+        m_hat
     }
+}
 
-    /// `K(m)` under the paper's with-replacement model (binomial terms).
-    fn k_of_m_wr(&self, profile: &FrequencyProfile, m: f64) -> f64 {
+/// The AE fixed point for one (profile, design, form), split into the
+/// part that does not depend on `m` — computed once here — and the
+/// low-frequency block, which [`FixedPoint::k`] evaluates per `m`.
+///
+/// Every hoisted value keeps the expression and summation order of the
+/// per-`m` formula it replaces, so a root-finder step returns the same
+/// bits as evaluating `K(m)` from the profile from scratch.
+struct FixedPoint {
+    f1: f64,
+    f2: f64,
+    r: f64,
+    /// `L = f₁ + 2f₂`, the rows contributed by the f₁/f₂ classes.
+    low_mass: f64,
+    /// The `i ≥ 3` (high-frequency) sums of `K`'s numerator and
+    /// denominator.
+    high_num: f64,
+    high_den: f64,
+    low: LowBlock,
+}
+
+/// How the `m` low-frequency classes enter `K(m)`.
+enum LowBlock {
+    /// With replacement, exact binomial terms `(1 − L/(rm))^r`.
+    Binomial,
+    /// With replacement, the approximation `e^{−L/m}`.
+    Exp,
+    /// Without replacement (both forms): hypergeometric terms.
+    Hypergeometric(Hypergeometric),
+    /// A WOR sample of the whole declared table hides nothing: `K = 0`.
+    Exhausted,
+}
+
+impl FixedPoint {
+    fn new(form: AeForm, profile: &FrequencyProfile, design: SampleDesign) -> Self {
         let r = profile.sample_size() as f64;
         let f1 = profile.f(1) as f64;
         let f2 = profile.f(2) as f64;
-        let low_mass = f1 + 2.0 * f2; // rows contributed by f1/f2 classes
-        let (mut num, mut den) = (0.0, 0.0);
-        for (i, f) in profile.spectrum() {
-            if i < 3 {
-                continue;
-            }
-            let f = f as f64;
-            let i_f = i as f64;
-            match self.form {
-                AeForm::ExactBinomial => {
-                    num += pow1m((i_f / r).min(1.0), r) * f;
-                    den += i_f * pow1m((i_f / r).min(1.0), r - 1.0) * f;
+        let (mut high_num, mut high_den) = (0.0, 0.0);
+        let high = profile
+            .spectrum()
+            .filter(|&(i, _)| i >= 3)
+            .map(|(i, f)| (i as f64, f as f64));
+        let low = match design {
+            SampleDesign::WithReplacement => {
+                for (i_f, f) in high {
+                    match form {
+                        AeForm::ExactBinomial => {
+                            high_num += pow1m((i_f / r).min(1.0), r) * f;
+                            high_den += i_f * pow1m((i_f / r).min(1.0), r - 1.0) * f;
+                        }
+                        AeForm::ExpApprox => {
+                            high_num += (-i_f).exp() * f;
+                            high_den += i_f * (-i_f).exp() * f;
+                        }
+                    }
                 }
-                AeForm::ExpApprox => {
-                    num += (-i_f).exp() * f;
-                    den += i_f * (-i_f).exp() * f;
+                match form {
+                    AeForm::ExactBinomial => LowBlock::Binomial,
+                    AeForm::ExpApprox => LowBlock::Exp,
                 }
             }
+            SampleDesign::WithoutReplacement { n } => {
+                // Guard n ≥ r so every C(·,·) is well defined even if the
+                // caller hands a design smaller than the observed sample.
+                let n = (n as f64).max(r);
+                if n <= r {
+                    LowBlock::Exhausted
+                } else {
+                    let hg = Hypergeometric::new(n, r);
+                    // The i ≥ 3 classes keep the WR size guess c = i·n/r.
+                    for (i_f, f) in high {
+                        let c = i_f * n / r;
+                        high_num += hg.p0(c) * f;
+                        high_den += hg.p1(c) * f;
+                    }
+                    LowBlock::Hypergeometric(hg)
+                }
+            }
+        };
+        Self {
+            f1,
+            f2,
+            r,
+            low_mass: f1 + 2.0 * f2,
+            high_num,
+            high_den,
+            low,
         }
-        // Low-frequency block: m classes each with p = low_mass/(r·m).
-        let (lo_num, lo_den) = match self.form {
-            AeForm::ExactBinomial => {
+    }
+
+    /// The residual `g(m) = m − f₁ − f₂ − f₁·K(m)`.
+    fn residual(&self, m: f64) -> f64 {
+        m - self.f1 - self.f2 - self.f1 * self.k(m)
+    }
+
+    /// The adaptive coefficient `K(m)` for a hypothesized low-frequency
+    /// class count `m`.
+    fn k(&self, m: f64) -> f64 {
+        let (r, low_mass) = (self.r, self.low_mass);
+        let (lo_num, lo_den) = match &self.low {
+            // m classes each with p = low_mass/(r·m).
+            LowBlock::Binomial => {
                 let p = (low_mass / (r * m)).min(1.0);
                 (m * pow1m(p, r), low_mass * pow1m(p, r - 1.0))
             }
-            AeForm::ExpApprox => {
+            LowBlock::Exp => {
                 let e = (-low_mass / m).exp();
                 (m * e, low_mass * e)
             }
+            LowBlock::Hypergeometric(hg) => hg.low_block(low_mass / m, m),
+            LowBlock::Exhausted => return 0.0,
         };
-        let den = den + lo_den;
+        let den = self.high_den + lo_den;
         if den == 0.0 {
             return 0.0;
         }
-        (num + lo_num) / den
+        (self.high_num + lo_num) / den
     }
 
-    /// `K(m)` under sampling without replacement (hypergeometric terms).
-    ///
-    /// A class occupying `c` of the table's `n` rows is missed by a WOR
-    /// sample of `r` rows with probability `P₀(c) = C(n−c, r)/C(n, r)`,
-    /// seen exactly once with `P₁(c) = c·C(n−c, r−1)/C(n, r)` and exactly
-    /// twice with `P₂(c) = C(c,2)·C(n−c, r−2)/C(n, r)`. The `i ≥ 3`
-    /// classes keep the WR size guess `c = i·n/r`.
+    /// Solves `g(m) = 0` on `[f₁ + f₂, n]` (see
+    /// [`AdaptiveEstimator::solve_m`]) and returns `m̂` with the number of
+    /// residual evaluations. Requires `f₁ > 0`.
+    fn solve(&self, n: f64) -> (f64, u64) {
+        let mut iters = 0u64;
+        let mut residual = |m: f64| {
+            iters += 1;
+            self.residual(m)
+        };
+        // Start strictly above f1 + f2 so p = L/(rm) is well defined and
+        // below 1 (m ≥ (f1 + 2f2)/r holds because m ≥ f1 + f2 ≥ L/r for
+        // any sample with r ≥ 2).
+        let lo = (self.f1 + self.f2).max(1e-9);
+        let hi = n;
+        let m_hat = 'solve: {
+            let g_lo = residual(lo);
+            if g_lo >= 0.0 {
+                break 'solve lo;
+            }
+            let g_hi = residual(hi);
+            if g_hi <= 0.0 {
+                // Monotone-negative residual: sample looks all-distinct.
+                break 'solve hi;
+            }
+            brent(&mut residual, lo, hi, 1e-7, 200).unwrap_or_else(|_| {
+                solve_failures().inc();
+                hi
+            })
+        };
+        (m_hat, iters)
+    }
+}
+
+/// The without-replacement occurrence probabilities for a table of `n`
+/// rows and a sample of `r`, with the `m`-independent `ln Γ` terms
+/// precomputed.
+///
+/// A class occupying `c` of the table's `n` rows is missed by a WOR
+/// sample of `r` rows with probability `P₀(c) = C(n−c, r)/C(n, r)`,
+/// seen exactly once with `P₁(c) = c·C(n−c, r−1)/C(n, r)` and exactly
+/// twice with `P₂(c) = C(c,2)·C(n−c, r−2)/C(n, r)`.
+struct Hypergeometric {
+    n: f64,
+    r: f64,
+    /// `ln C(n, r)`.
+    ln_total: f64,
+    /// `ln Γ(r+1)` and `ln Γ(r)`: the constant middle terms of
+    /// `ln C(·, r)` and `ln C(·, r−1)`.
+    ln_gamma_r1: f64,
+    ln_gamma_r: f64,
+    /// `ln Γ(r−1)` for `ln C(·, r−2)`; `None` for `r < 2`, where a one-row
+    /// sample cannot see anything twice.
+    ln_gamma_rm1: Option<f64>,
+}
+
+impl Hypergeometric {
+    /// Requires `n > r ≥ 1`.
+    fn new(n: f64, r: f64) -> Self {
+        let ln_gamma_r1 = ln_gamma(r + 1.0);
+        Self {
+            n,
+            r,
+            ln_total: ln_choose_real(n, r, ln_gamma_r1),
+            ln_gamma_r1,
+            ln_gamma_r: ln_gamma((r - 1.0) + 1.0),
+            ln_gamma_rm1: (r >= 2.0).then(|| ln_gamma((r - 2.0) + 1.0)),
+        }
+    }
+
+    /// `P₀(c)`: zero once c > n − r (a class too big to hide from a WOR
+    /// sample of r rows is certainly seen).
+    fn p0(&self, c: f64) -> f64 {
+        let (n, r) = (self.n, self.r);
+        if c <= n - r {
+            (ln_choose_real(n - c, r, self.ln_gamma_r1) - self.ln_total).exp()
+        } else {
+            0.0
+        }
+    }
+
+    /// `P₁(c)`: zero once c > n − r + 1 (the class must be seen twice).
+    fn p1(&self, c: f64) -> f64 {
+        let (n, r) = (self.n, self.r);
+        if c <= n - r + 1.0 {
+            c * (ln_choose_real(n - c, r - 1.0, self.ln_gamma_r) - self.ln_total).exp()
+        } else {
+            0.0
+        }
+    }
+
+    /// `P₂(c)`: zero once c > n − r + 2 (seen at least three times), and
+    /// zero outright for r < 2.
+    fn p2(&self, c: f64) -> f64 {
+        let (n, r) = (self.n, self.r);
+        match self.ln_gamma_rm1 {
+            Some(ln_gamma_rm1) if c <= n - r + 2.0 => {
+                0.5 * c
+                    * (c - 1.0)
+                    * (ln_choose_real(n - c, r - 2.0, ln_gamma_rm1) - self.ln_total).exp()
+            }
+            _ => 0.0,
+        }
+    }
+
+    /// The low block's `(misses, singletons)` contribution to `K`'s
+    /// numerator and denominator, for `m` classes with observed mass
+    /// `target = L/m` each.
     ///
     /// The low block differs from the WR form in one more way than the
     /// binomial→hypergeometric swap. The paper sizes the `m` low classes
@@ -193,68 +401,17 @@ impl AdaptiveEstimator {
     /// [`AeForm`] variants use these exact hypergeometric terms: the
     /// `e^{−i}` shortcut is an approximation *to the binomial*, so it has
     /// no separate WOR analog worth distinguishing.
-    fn k_of_m_wor(&self, profile: &FrequencyProfile, design_n: u64, m: f64) -> f64 {
-        let r = profile.sample_size() as f64;
-        let f1 = profile.f(1) as f64;
-        let f2 = profile.f(2) as f64;
-        let low_mass = f1 + 2.0 * f2; // rows contributed by f1/f2 classes
-                                      // Guard n ≥ r so every C(·,·) below is well defined even if the
-                                      // caller hands a design smaller than the observed sample. A WOR
-                                      // sample of the whole declared table hides nothing: K = 0.
-        let n = (design_n as f64).max(r);
-        if n <= r {
-            return 0.0;
-        }
-        let ln_total = ln_choose_real(n, r);
-        // P₀(c): zero once c > n − r (a class too big to hide from a WOR
-        // sample of r rows is certainly seen).
-        let p0 = |c: f64| {
-            if c <= n - r {
-                (ln_choose_real(n - c, r) - ln_total).exp()
-            } else {
-                0.0
-            }
-        };
-        // P₁(c): zero once c > n − r + 1 (the class must be seen twice).
-        let p1 = |c: f64| {
-            if c <= n - r + 1.0 {
-                c * (ln_choose_real(n - c, r - 1.0) - ln_total).exp()
-            } else {
-                0.0
-            }
-        };
-        // P₂(c): zero once c > n − r + 2 (seen at least three times), and
-        // zero outright for r < 2 (a one-row sample cannot see anything
-        // twice).
-        let p2 = |c: f64| {
-            if r >= 2.0 && c <= n - r + 2.0 {
-                0.5 * c * (c - 1.0) * (ln_choose_real(n - c, r - 2.0) - ln_total).exp()
-            } else {
-                0.0
-            }
-        };
-        let (mut num, mut den) = (0.0, 0.0);
-        for (i, f) in profile.spectrum() {
-            if i < 3 {
-                continue;
-            }
-            let f = f as f64;
-            let c = i as f64 * n / r;
-            num += p0(c) * f;
-            den += p1(c) * f;
-        }
-        // Low-frequency block: solve the truncated-mass equation for c_m
-        // by bisection. The conditional mean is ~0 as c → 0 and exactly 2
-        // as c → n − r + 2 (only P₂ survives), while the target
+    fn low_block(&self, target: f64, m: f64) -> (f64, f64) {
+        // Bisection: the conditional mean is ~0 as c → 0 and exactly 2 as
+        // c → n − r + 2 (only P₂ survives), while the target
         // L/m = (f₁ + 2f₂)/m < 2 because m ≥ f₁ + f₂ — so the root is
         // always bracketed.
-        let target = low_mass / m;
-        let (mut c_lo, mut c_hi) = (1e-9, n - r + 1.9);
+        let (mut c_lo, mut c_hi) = (1e-9, self.n - self.r + 1.9);
         for _ in 0..64 {
             let mid = 0.5 * (c_lo + c_hi);
-            let s = p0(mid) + p1(mid) + p2(mid);
+            let s = self.p0(mid) + self.p1(mid) + self.p2(mid);
             let ratio = if s > 0.0 {
-                (p1(mid) + 2.0 * p2(mid)) / s
+                (self.p1(mid) + 2.0 * self.p2(mid)) / s
             } else {
                 2.0
             };
@@ -265,68 +422,12 @@ impl AdaptiveEstimator {
             }
         }
         let c_m = 0.5 * (c_lo + c_hi);
-        let s = p0(c_m) + p1(c_m) + p2(c_m);
-        let (lo_num, lo_den) = if s > 0.0 {
-            (m * p0(c_m) / s, m * p1(c_m) / s)
+        let s = self.p0(c_m) + self.p1(c_m) + self.p2(c_m);
+        if s > 0.0 {
+            (m * self.p0(c_m) / s, m * self.p1(c_m) / s)
         } else {
             (0.0, 0.0)
-        };
-        let den = den + lo_den;
-        if den == 0.0 {
-            return 0.0;
         }
-        (num + lo_num) / den
-    }
-
-    /// Solves for `m̂` on `[f₁ + f₂, n]`.
-    ///
-    /// Boundary behavior:
-    /// * `f₁ = 0` — the equation forces `m = f₁ + f₂`; `D̂ = d`.
-    /// * residual never crosses zero and stays negative (all-singleton
-    ///   samples) — the data is consistent with everything being distinct;
-    ///   return the upper boundary `n` (the clamp caps `D̂` at `n`).
-    pub fn solve_m(&self, profile: &FrequencyProfile) -> f64 {
-        self.solve_m_for(profile, SampleDesign::WithReplacement)
-    }
-
-    /// Solves the fixed point for an explicit sampling design; the
-    /// with-replacement design reproduces [`AdaptiveEstimator::solve_m`]
-    /// bit-for-bit. Bracket and boundary behavior are shared across
-    /// designs (see [`AdaptiveEstimator::solve_m`]).
-    pub fn solve_m_for(&self, profile: &FrequencyProfile, design: SampleDesign) -> f64 {
-        let f1 = profile.f(1) as f64;
-        let f2 = profile.f(2) as f64;
-        let n = profile.table_size() as f64;
-        if f1 == 0.0 {
-            return f1 + f2;
-        }
-        let iters = std::cell::Cell::new(0u64);
-        let mut residual = |m: f64| {
-            iters.set(iters.get() + 1);
-            self.residual_for(profile, design, m)
-        };
-        // Start strictly above f1 + f2 so p = L/(rm) is well defined and
-        // below 1 (m ≥ (f1 + 2f2)/r holds because m ≥ f1 + f2 ≥ L/r for
-        // any sample with r ≥ 2).
-        let lo = (f1 + f2).max(1e-9);
-        let hi = n;
-        let m_hat = 'solve: {
-            let g_lo = residual(lo);
-            if g_lo >= 0.0 {
-                break 'solve lo;
-            }
-            let g_hi = residual(hi);
-            if g_hi <= 0.0 {
-                // Monotone-negative residual: sample looks all-distinct.
-                break 'solve hi;
-            }
-            brent(&mut residual, lo, hi, 1e-7, 200).unwrap_or_else(|_| {
-                solve_failures().inc();
-                hi
-            })
-        };
-        solve_iters_hist().record(iters.get());
-        m_hat
     }
 }
 
@@ -397,6 +498,8 @@ mod tests {
     use super::*;
     use crate::error::ratio_error;
     use crate::gee::Gee;
+    use dve_numeric::check::{check, f64_in, u64_in, usize_in};
+    use dve_numeric::rng::Rng;
 
     /// Expected spectrum of uniform data: D classes of size c, n = D·c,
     /// sampled at fraction q (binomial approximation).
@@ -620,5 +723,282 @@ mod tests {
             AdaptiveEstimator::with_form(AeForm::ExpApprox).name(),
             "AE-EXP"
         );
+    }
+
+    /// The fixed point as evaluated before its per-solve/per-`m` split:
+    /// every residual recomputes `K(m)` from the profile. Kept verbatim as
+    /// the reference the split must match bit-for-bit.
+    mod reference {
+        use crate::ae::{AdaptiveEstimator, AeForm};
+        use crate::design::SampleDesign;
+        use crate::profile::FrequencyProfile;
+        use dve_numeric::poly::pow1m;
+        use dve_numeric::roots::brent;
+        use dve_numeric::special::ln_gamma;
+
+        fn ln_choose_real(x: f64, y: f64) -> f64 {
+            ln_gamma(x + 1.0) - ln_gamma(y + 1.0) - ln_gamma(x - y + 1.0)
+        }
+
+        impl AdaptiveEstimator {
+            pub(super) fn reference_residual_for(
+                &self,
+                profile: &FrequencyProfile,
+                design: SampleDesign,
+                m: f64,
+            ) -> f64 {
+                let f1 = profile.f(1) as f64;
+                let f2 = profile.f(2) as f64;
+                m - f1 - f2 - f1 * self.k_of_m(profile, design, m)
+            }
+
+            fn k_of_m(&self, profile: &FrequencyProfile, design: SampleDesign, m: f64) -> f64 {
+                match design {
+                    SampleDesign::WithReplacement => self.k_of_m_wr(profile, m),
+                    SampleDesign::WithoutReplacement { n } => self.k_of_m_wor(profile, n, m),
+                }
+            }
+
+            fn k_of_m_wr(&self, profile: &FrequencyProfile, m: f64) -> f64 {
+                let r = profile.sample_size() as f64;
+                let f1 = profile.f(1) as f64;
+                let f2 = profile.f(2) as f64;
+                let low_mass = f1 + 2.0 * f2;
+                let (mut num, mut den) = (0.0, 0.0);
+                for (i, f) in profile.spectrum() {
+                    if i < 3 {
+                        continue;
+                    }
+                    let f = f as f64;
+                    let i_f = i as f64;
+                    match self.form {
+                        AeForm::ExactBinomial => {
+                            num += pow1m((i_f / r).min(1.0), r) * f;
+                            den += i_f * pow1m((i_f / r).min(1.0), r - 1.0) * f;
+                        }
+                        AeForm::ExpApprox => {
+                            num += (-i_f).exp() * f;
+                            den += i_f * (-i_f).exp() * f;
+                        }
+                    }
+                }
+                let (lo_num, lo_den) = match self.form {
+                    AeForm::ExactBinomial => {
+                        let p = (low_mass / (r * m)).min(1.0);
+                        (m * pow1m(p, r), low_mass * pow1m(p, r - 1.0))
+                    }
+                    AeForm::ExpApprox => {
+                        let e = (-low_mass / m).exp();
+                        (m * e, low_mass * e)
+                    }
+                };
+                let den = den + lo_den;
+                if den == 0.0 {
+                    return 0.0;
+                }
+                (num + lo_num) / den
+            }
+
+            fn k_of_m_wor(&self, profile: &FrequencyProfile, design_n: u64, m: f64) -> f64 {
+                let r = profile.sample_size() as f64;
+                let f1 = profile.f(1) as f64;
+                let f2 = profile.f(2) as f64;
+                let low_mass = f1 + 2.0 * f2;
+                let n = (design_n as f64).max(r);
+                if n <= r {
+                    return 0.0;
+                }
+                let ln_total = ln_choose_real(n, r);
+                let p0 = |c: f64| {
+                    if c <= n - r {
+                        (ln_choose_real(n - c, r) - ln_total).exp()
+                    } else {
+                        0.0
+                    }
+                };
+                let p1 = |c: f64| {
+                    if c <= n - r + 1.0 {
+                        c * (ln_choose_real(n - c, r - 1.0) - ln_total).exp()
+                    } else {
+                        0.0
+                    }
+                };
+                let p2 = |c: f64| {
+                    if r >= 2.0 && c <= n - r + 2.0 {
+                        0.5 * c * (c - 1.0) * (ln_choose_real(n - c, r - 2.0) - ln_total).exp()
+                    } else {
+                        0.0
+                    }
+                };
+                let (mut num, mut den) = (0.0, 0.0);
+                for (i, f) in profile.spectrum() {
+                    if i < 3 {
+                        continue;
+                    }
+                    let f = f as f64;
+                    let c = i as f64 * n / r;
+                    num += p0(c) * f;
+                    den += p1(c) * f;
+                }
+                let target = low_mass / m;
+                let (mut c_lo, mut c_hi) = (1e-9, n - r + 1.9);
+                for _ in 0..64 {
+                    let mid = 0.5 * (c_lo + c_hi);
+                    let s = p0(mid) + p1(mid) + p2(mid);
+                    let ratio = if s > 0.0 {
+                        (p1(mid) + 2.0 * p2(mid)) / s
+                    } else {
+                        2.0
+                    };
+                    if ratio < target {
+                        c_lo = mid;
+                    } else {
+                        c_hi = mid;
+                    }
+                }
+                let c_m = 0.5 * (c_lo + c_hi);
+                let s = p0(c_m) + p1(c_m) + p2(c_m);
+                let (lo_num, lo_den) = if s > 0.0 {
+                    (m * p0(c_m) / s, m * p1(c_m) / s)
+                } else {
+                    (0.0, 0.0)
+                };
+                let den = den + lo_den;
+                if den == 0.0 {
+                    return 0.0;
+                }
+                (num + lo_num) / den
+            }
+
+            /// The pre-split `solve_m_for`, returning `m̂` with the
+            /// residual-evaluation count it recorded in
+            /// `core.ae.solve_iters` (none for `f₁ = 0`).
+            pub(super) fn reference_solve_m_for(
+                &self,
+                profile: &FrequencyProfile,
+                design: SampleDesign,
+            ) -> (f64, Option<u64>) {
+                let f1 = profile.f(1) as f64;
+                let f2 = profile.f(2) as f64;
+                let n = profile.table_size() as f64;
+                if f1 == 0.0 {
+                    return (f1 + f2, None);
+                }
+                let iters = std::cell::Cell::new(0u64);
+                let mut residual = |m: f64| {
+                    iters.set(iters.get() + 1);
+                    self.reference_residual_for(profile, design, m)
+                };
+                let lo = (f1 + f2).max(1e-9);
+                let hi = n;
+                let m_hat = 'solve: {
+                    let g_lo = residual(lo);
+                    if g_lo >= 0.0 {
+                        break 'solve lo;
+                    }
+                    let g_hi = residual(hi);
+                    if g_hi <= 0.0 {
+                        break 'solve hi;
+                    }
+                    brent(&mut residual, lo, hi, 1e-7, 200).unwrap_or(hi)
+                };
+                (m_hat, Some(iters.get()))
+            }
+        }
+    }
+
+    /// A random sparse spectrum over a table of 1e2..1e9 rows, drawing the
+    /// edge cases `f₁ = 0`, all singletons, `r = 1` and `r = 2` on purpose.
+    /// A table smaller than the sample grows to the sample (a full scan).
+    fn random_sparse_profile(rng: &mut Rng) -> FrequencyProfile {
+        let mut entries = std::collections::BTreeMap::new();
+        match usize_in(rng, 0..8) {
+            0 => {
+                // f₁ = 0.
+                entries.insert(2, u64_in(rng, 0..50));
+                entries.insert(u64_in(rng, 3..40), u64_in(rng, 1..20));
+            }
+            1 => {
+                entries.insert(1, u64_in(rng, 1..5_000));
+            }
+            2 => {
+                entries.insert(1, 1);
+            }
+            3 => {
+                // r = 2: two singletons, or one value seen twice.
+                if rng.below(2) == 0 {
+                    entries.insert(1, 2);
+                } else {
+                    entries.insert(2, 1);
+                }
+            }
+            _ => {
+                // Log-uniform f₁, f₂, so that the i ≥ 3 sums sometimes
+                // dominate K and a last-bit change in them shows.
+                entries.insert(1, 10f64.powf(f64_in(rng, 0.0..3.5)) as u64);
+                entries.insert(2, 10f64.powf(f64_in(rng, 0.0..3.0)) as u64 - 1);
+                // Frequencies 3..12 carry non-negligible K terms
+                // (≈ e^{−i}); larger ones test the underflowing tail.
+                for _ in 0..usize_in(rng, 0..8) {
+                    let i = if rng.below(2) == 0 {
+                        u64_in(rng, 3..13)
+                    } else {
+                        10f64.powf(f64_in(rng, 1.0..3.5)) as u64
+                    };
+                    *entries.entry(i).or_insert(0) += u64_in(rng, 1..50);
+                }
+            }
+        }
+        entries.retain(|_, f| *f > 0);
+        let entries: Vec<(u64, u64)> = entries.into_iter().collect();
+        let r: u64 = entries.iter().map(|&(i, f)| i * f).sum();
+        let n = (10f64.powf(f64_in(rng, 2.0..9.0)) as u64).max(r);
+        FrequencyProfile::from_parts(n, entries).unwrap()
+    }
+
+    #[test]
+    fn per_solve_split_is_bit_identical_to_the_per_step_fixed_point() {
+        check("ae_per_solve_split_bit_identity", 64, |rng| {
+            let p = random_sparse_profile(rng);
+            let n = p.table_size();
+            let r = p.sample_size();
+            let (d, f1, f2) = (p.distinct_in_sample() as f64, p.f(1), p.f(2));
+            let designs = [
+                SampleDesign::WithReplacement,
+                SampleDesign::wor(n),
+                SampleDesign::wor(r),
+            ];
+            for form in [AeForm::ExactBinomial, AeForm::ExpApprox] {
+                let ae = AdaptiveEstimator::with_form(form);
+                for design in designs {
+                    let ctx = format!("{form:?} {design:?} n={n} spectrum={:?}", p.to_dense());
+                    let (m_ref, iters_ref) = ae.reference_solve_m_for(&p, design);
+                    let m = ae.solve_m_for(&p, design);
+                    assert_eq!(m.to_bits(), m_ref.to_bits(), "m̂ {m} vs {m_ref}: {ctx}");
+                    // The count solve_m_for records in core.ae.solve_iters.
+                    let iters =
+                        (f1 > 0).then(|| FixedPoint::new(form, &p, design).solve(n as f64).1);
+                    assert_eq!(iters, iters_ref, "solve_iters: {ctx}");
+
+                    let raw_ref = if p.sampling_fraction() >= 1.0 {
+                        d
+                    } else {
+                        d + m_ref - f1 as f64 - f2 as f64
+                    };
+                    let est_ref =
+                        crate::estimator::sanity_clamp(raw_ref, p.distinct_in_sample(), n);
+                    let est = ae.estimate_for(&p, design);
+                    assert_eq!(est.to_bits(), est_ref.to_bits(), "estimate: {ctx}");
+
+                    let lo = (f1 + f2) as f64;
+                    let ms = [lo.max(1e-9), n as f64, 10f64.powf(f64_in(rng, -3.0..9.5))];
+                    for m in ms {
+                        let g = ae.residual_for(&p, design, m);
+                        let g_ref = ae.reference_residual_for(&p, design, m);
+                        assert_eq!(g.to_bits(), g_ref.to_bits(), "residual({m}): {ctx}");
+                    }
+                }
+            }
+        });
     }
 }

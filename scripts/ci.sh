@@ -11,6 +11,14 @@ cargo fmt --all --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo doc --offline --no-deps --workspace
 
+# estbench is a workspace of its own, so a dve-core API change can break
+# it without failing the build above. Build it hermetically, then run a
+# one-second estimate_mix smoke: it exits nonzero if any sanity-clamp,
+# JSON re-parse or cross-client bit-identity check fails.
+CARGO_HOME=$(mktemp -d) cargo build --release --offline --manifest-path estbench/Cargo.toml
+"${CARGO_TARGET_DIR:-estbench/target}/release/estbench" \
+    --workload estimate_mix --seconds 1 --trace 0 >/dev/null
+
 # Accuracy regression gate: re-run the audit sweep and compare against
 # the committed baseline (tolerances absorb RNG-stream and machine
 # noise; real estimator regressions move these numbers far more).
