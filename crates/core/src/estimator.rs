@@ -19,6 +19,7 @@
 
 use crate::design::SampleDesign;
 use crate::profile::FrequencyProfile;
+use std::fmt::Write;
 
 /// A complete estimation result: the point estimate plus everything a
 /// remote caller needs to interpret it.
@@ -85,10 +86,8 @@ impl Estimation {
             }
             None => out.push_str("null"),
         }
-        out.push_str(&format!(
-            ",\"d\":{},\"r\":{},\"n\":{}}}",
-            self.d, self.r, self.n
-        ));
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, ",\"d\":{},\"r\":{},\"n\":{}}}", self.d, self.r, self.n);
         out
     }
 }

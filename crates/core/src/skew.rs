@@ -4,13 +4,15 @@
 //!
 //! * the **χ² uniformity test** on the observed per-class counts (Haas et
 //!   al. 1995) — HYBSKEW and HYBGEE branch on whether the test rejects
-//!   uniformity;
+//!   uniformity. The verdict comes from one survival-function evaluation,
+//!   `p = SF(stat; d−1) < α`, which is the same test as `stat` exceeding
+//!   the `1−α` quantile but needs no inversion of the CDF;
 //! * the **estimated squared coefficient of variation** `γ̂²` of the class
 //!   sizes (Chao–Lee / Haas–Stokes) — DUJ2A corrects with it and HYBVAR
 //!   selects its constituent estimator by thresholding it.
 
 use crate::profile::FrequencyProfile;
-use dve_numeric::chisq::chi2_inv_cdf;
+use dve_numeric::chisq::chi2_sf;
 
 /// Result of the sample-skew χ² test.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,8 +20,9 @@ pub struct SkewTest {
     /// Pearson statistic of observed class counts against the uniform
     /// expectation `r / d`.
     pub statistic: f64,
-    /// Critical value at the configured significance level.
-    pub critical_value: f64,
+    /// Right-tail p-value of `statistic` under χ²(d − 1); 1 when the
+    /// sample has a single class.
+    pub p_value: f64,
     /// `true` when uniformity is rejected — the data looks high-skew.
     pub high_skew: bool,
 }
@@ -30,8 +33,10 @@ pub struct SkewTest {
 /// Under the null (all `d` observed classes equally likely) each class's
 /// expected count is `r / d`; the Pearson statistic is
 /// `Σ_i f_i · (i - r/d)² / (r/d)` with `d - 1` degrees of freedom.
-/// Uniformity is rejected — high skew — when the statistic exceeds the
-/// `1 - alpha` quantile.
+/// Uniformity is rejected — high skew — when the p-value falls below
+/// `alpha`, i.e. when the statistic exceeds the `1 - alpha` quantile.
+/// [`dve_numeric::chisq::chi2_inv_cdf`] gives that quantile to a caller
+/// who wants it.
 ///
 /// # Panics
 ///
@@ -49,7 +54,7 @@ pub fn skew_test(profile: &FrequencyProfile, alpha: f64) -> SkewTest {
         // hybrid then uses its low-skew branch, whose clamp returns d).
         return SkewTest {
             statistic: 0.0,
-            critical_value: 0.0,
+            p_value: 1.0,
             high_skew: false,
         };
     }
@@ -59,11 +64,11 @@ pub fn skew_test(profile: &FrequencyProfile, alpha: f64) -> SkewTest {
         let diff = i as f64 - expected;
         stat += f as f64 * diff * diff / expected;
     }
-    let critical_value = chi2_inv_cdf((d - 1) as f64, 1.0 - alpha);
+    let p_value = chi2_sf((d - 1) as f64, stat);
     SkewTest {
         statistic: stat,
-        critical_value,
-        high_skew: stat > critical_value,
+        p_value,
+        high_skew: p_value < alpha,
     }
 }
 
@@ -144,11 +149,7 @@ mod tests {
         s[499] = 1;
         let p = FrequencyProfile::from_spectrum(100_000, s).unwrap();
         let t = skew_test(&p, 0.05);
-        assert!(
-            t.high_skew,
-            "stat {} crit {}",
-            t.statistic, t.critical_value
-        );
+        assert!(t.high_skew, "stat {} p-value {}", t.statistic, t.p_value);
     }
 
     #[test]
@@ -169,8 +170,59 @@ mod tests {
         let p = FrequencyProfile::from_spectrum(100, vec![1, 0, 1]).unwrap();
         let t = skew_test(&p, 0.05);
         assert!((t.statistic - 1.0).abs() < 1e-12);
-        // χ²(1) 95% critical value ≈ 3.841 — not rejected.
+        // P(χ²(1) > 1) = erfc(1/√2); far above 0.05 — not rejected.
+        assert!(
+            (t.p_value - 0.317_310_507_862_914_1).abs() < 1e-12,
+            "p-value {}",
+            t.p_value
+        );
         assert!(!t.high_skew);
+    }
+
+    #[test]
+    fn p_value_verdict_matches_critical_value_verdict() {
+        use dve_numeric::check::{check, f64_in};
+        use dve_numeric::chisq::chi2_inv_cdf;
+
+        // Class counts from uniform (s = 0) to Zipf-3, each jittered by up
+        // to `w·√c` so the statistic lands on both sides of the critical
+        // value; d is log-uniform in [2, 20 000].
+        let (mut rejected, mut kept) = (0u32, 0u32);
+        check(
+            "p_value_verdict_matches_critical_value_verdict",
+            150,
+            |rng| {
+                let d = f64_in(rng, 2f64.ln()..20_000f64.ln()).exp().round() as u64;
+                let s = f64_in(rng, 0.0..3.0);
+                let head = f64_in(rng, 1.0..2_000.0);
+                let w = f64_in(rng, 0.0..5.0);
+                let counts: Vec<u64> = (1..=d)
+                    .map(|j| {
+                        let c = (head / (j as f64).powf(s)).max(1.0);
+                        c as u64 + rng.below((w * c.sqrt()) as u64 + 1)
+                    })
+                    .collect();
+                let r: u64 = counts.iter().sum();
+                let p = FrequencyProfile::from_sample_counts(r.saturating_mul(10), counts).unwrap();
+                for alpha in [0.01, 0.025, 0.05] {
+                    let t = skew_test(&p, alpha);
+                    let crit = chi2_inv_cdf((d - 1) as f64, 1.0 - alpha);
+                    assert_eq!(
+                        t.high_skew,
+                        t.statistic > crit,
+                        "d={d} s={s} alpha={alpha}: stat {} crit {crit} p-value {}",
+                        t.statistic,
+                        t.p_value
+                    );
+                    if t.high_skew {
+                        rejected += 1;
+                    } else {
+                        kept += 1;
+                    }
+                }
+            },
+        );
+        assert!(rejected > 0 && kept > 0, "rejected {rejected}, kept {kept}");
     }
 
     #[test]

@@ -73,8 +73,7 @@ fn approx_std_normal_quantile(p: f64) -> f64 {
 /// A chi-squared distribution with fixed degrees of freedom.
 ///
 /// Thin convenience wrapper over the free functions, useful when many
-/// evaluations share the same `k` (e.g. critical-value lookups in the
-/// hybrid skew test).
+/// evaluations share the same `k`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChiSquared {
     k: f64,
@@ -176,7 +175,10 @@ pub fn pearson_chi2_test(observed: &[f64], expected: &[f64]) -> Chi2Test {
 /// (low skew, null not rejected) and Shlosser (high skew, null rejected).
 ///
 /// Returns `true` when the data looks **high-skew** — i.e. the uniformity
-/// null is rejected at significance level `alpha`.
+/// null is rejected at significance level `alpha`: the right-tail p-value
+/// of the Pearson statistic is below `alpha`. That is the same verdict as
+/// the statistic exceeding `chi2_inv_cdf(d − 1, 1 − alpha)`, from one
+/// survival-function evaluation instead of a quantile search.
 ///
 /// # Panics
 ///
@@ -200,8 +202,7 @@ pub fn uniformity_test_rejects(counts: &[u64], alpha: f64) -> bool {
         let diff = c as f64 - expected;
         stat += diff * diff / expected;
     }
-    let crit = chi2_inv_cdf((d - 1) as f64, 1.0 - alpha);
-    stat > crit
+    chi2_sf((d - 1) as f64, stat) < alpha
 }
 
 #[cfg(test)]

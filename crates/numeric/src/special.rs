@@ -57,12 +57,19 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// Maximum number of iterations for the incomplete-gamma series and
-/// continued fraction before giving up. With `f64` both converge in well
-/// under 300 iterations across the supported range.
+/// Smallest iteration cap for the incomplete-gamma series and continued
+/// fraction; [`gamma_max_iter`] raises it for large shapes.
 const GAMMA_MAX_ITER: usize = 500;
 /// Convergence tolerance for incomplete-gamma iterations.
 const GAMMA_EPS: f64 = 1e-15;
+
+/// Iteration cap for shape `a`. Near `x ≈ a` the series terms fall like
+/// `exp(−n²/2a)`, so reaching [`GAMMA_EPS`] takes about `8.3·√a` terms; a
+/// fixed cap silently truncates once `a` passes a few thousand (at
+/// `a = 5·10⁵` a 500-term series reads `P(a, a) ≈ 0.26` instead of 0.5).
+fn gamma_max_iter(a: f64) -> usize {
+    GAMMA_MAX_ITER.max((10.0 * a.sqrt()).ceil() as usize)
+}
 
 /// Regularized lower incomplete gamma function `P(a, x) = γ(a, x) / Γ(a)`.
 ///
@@ -107,7 +114,7 @@ fn gamma_series(a: f64, x: f64) -> f64 {
     let mut ap = a;
     let mut sum = 1.0 / a;
     let mut del = sum;
-    for _ in 0..GAMMA_MAX_ITER {
+    for _ in 0..gamma_max_iter(a) {
         ap += 1.0;
         del *= x / ap;
         sum += del;
@@ -126,7 +133,7 @@ fn gamma_cont_frac(a: f64, x: f64) -> f64 {
     let mut c = 1.0 / TINY;
     let mut d = 1.0 / b;
     let mut h = d;
-    for i in 1..=GAMMA_MAX_ITER {
+    for i in 1..=gamma_max_iter(a) {
         let an = -(i as f64) * (i as f64 - a);
         b += 2.0;
         d = an * d + b;
@@ -284,6 +291,33 @@ mod tests {
                 assert!((0.0..=1.0).contains(&p));
                 assert!((0.0..=1.0).contains(&q));
             }
+        }
+    }
+
+    #[test]
+    fn incomplete_gamma_converges_at_large_shape() {
+        // P(a, a) = 1/2 + 1/(3·√(2πa)) + O(a^{-3/2}) (Ramanujan's θ ≈ 1/3);
+        // the neglected term is below 1e-8 from a = 1e4 on. A series cut
+        // off at a fixed iteration count falls far short of 1/2 here.
+        for &a in &[1e4, 5e4, 5e5, 1.2e6] {
+            let p = reg_gamma_lower(a, a);
+            let expected = 0.5 + 1.0 / (3.0 * (2.0 * std::f64::consts::PI * a).sqrt());
+            assert!(
+                (p - expected).abs() < 1e-7,
+                "P({a}, {a}) = {p}, want {expected}"
+            );
+            assert!(
+                (p + reg_gamma_upper(a, a) - 1.0).abs() < 1e-12,
+                "P+Q at a={a}"
+            );
+            // The series (below a+1) and the continued fraction (above)
+            // must meet where the evaluation switches between them.
+            let below = reg_gamma_lower(a, a + 1.0 - 1e-6);
+            let above = reg_gamma_lower(a, a + 1.0 + 1e-6);
+            assert!(
+                (above - below).abs() < 1e-7,
+                "P jumps at x = a+1, a={a}: {below} → {above}"
+            );
         }
     }
 

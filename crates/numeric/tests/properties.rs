@@ -84,6 +84,36 @@ fn chi2_consistency() {
     });
 }
 
+/// `SF(stat) < α` and `stat > F⁻¹(1 − α)` are the same test: placed at a
+/// relative distance `u ∈ [1e-9, 1e-1]` on either side of the critical
+/// value, the two verdicts agree for `k` up to 2·10⁶ degrees of freedom.
+#[test]
+fn chi2_p_value_verdict_matches_quantile_verdict() {
+    check(
+        "chi2_p_value_verdict_matches_quantile_verdict",
+        200,
+        |rng| {
+            let k = f64_in(rng, 0.0..(2e6f64).ln()).exp().round().max(1.0);
+            let alpha = [0.01, 0.025, 0.05][u64_in(rng, 0..3) as usize];
+            let crit = chi2_inv_cdf(k, 1.0 - alpha);
+            let u = f64_in(rng, (1e-9f64).ln()..(1e-1f64).ln()).exp();
+            let stat = if rng.below(2) == 0 {
+                crit * (1.0 + u)
+            } else {
+                crit * (1.0 - u)
+            };
+            if (stat - crit).abs() > 1e-9 * crit {
+                assert_eq!(
+                    chi2_sf(k, stat) < alpha,
+                    stat > crit,
+                    "k={k} alpha={alpha} stat={stat} crit={crit} sf={}",
+                    chi2_sf(k, stat)
+                );
+            }
+        },
+    );
+}
+
 /// pow1m agrees with powf and respects monotonicity in y.
 #[test]
 fn pow1m_consistency() {

@@ -11,6 +11,8 @@
 //! It favors clarity over speed — baselines are a few kilobytes — and
 //! reports errors with a byte offset for debuggability.
 
+use std::fmt::Write;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -86,7 +88,7 @@ pub fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -106,7 +108,7 @@ pub fn escape(s: &str) -> String {
 /// this. Non-finite values (which JSON cannot represent) become `null`.
 pub fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
@@ -367,6 +369,23 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(v.as_array(), None);
         assert_eq!(JsonValue::Null.get("x"), None);
+    }
+
+    #[test]
+    fn writers_emit_pinned_bytes() {
+        assert_eq!(escape("a\u{1}\u{1f}\"\\\n"), "a\\u0001\\u001f\\\"\\\\\\n");
+        let mut out = String::new();
+        for v in [0.0, -1.5, 770.0, 0.1 + 0.2, 1e300, f64::NAN, f64::INFINITY] {
+            push_f64(&mut out, v);
+            out.push(' ');
+        }
+        let big = format!("1{}", "0".repeat(300));
+        assert_eq!(
+            out,
+            format!("0 -1.5 770 0.30000000000000004 {big} null null ")
+        );
+        let parsed = parse("\"a\\u0001\\u001f\"").unwrap();
+        assert_eq!(parsed.as_str(), Some("a\u{1}\u{1f}"));
     }
 
     #[test]

@@ -12,14 +12,18 @@ use crate::{json_escape_into, json_f64_into};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock, RwLock};
 
-type Key = (String, String); // (name, label)
+/// Instruments of one kind, keyed `name → label`. Nesting the maps (rather
+/// than keying by a `(String, String)` pair) lets a lookup borrow both
+/// `&str`s, so a warm lookup never allocates; iteration still visits
+/// `(name, label)` in sorted order.
+type Family<T> = BTreeMap<String, BTreeMap<String, Arc<T>>>;
 
 /// A family of named, optionally labeled instruments.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: RwLock<BTreeMap<Key, Arc<Counter>>>,
-    gauges: RwLock<BTreeMap<Key, Arc<Gauge>>>,
-    histograms: RwLock<BTreeMap<Key, Arc<Histogram>>>,
+    counters: RwLock<Family<Counter>>,
+    gauges: RwLock<Family<Gauge>>,
+    histograms: RwLock<Family<Histogram>>,
 }
 
 /// The process-global registry.
@@ -28,20 +32,32 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-fn get_or_insert<T: Default>(
-    map: &RwLock<BTreeMap<Key, Arc<T>>>,
-    name: &str,
-    label: &str,
-) -> Arc<T> {
+fn get_or_insert<T: Default>(map: &RwLock<Family<T>>, name: &str, label: &str) -> Arc<T> {
     if let Some(v) = map
         .read()
         .unwrap_or_else(|e| e.into_inner())
-        .get(&(name.to_string(), label.to_string()))
+        .get(name)
+        .and_then(|labels| labels.get(label))
     {
         return Arc::clone(v);
     }
     let mut w = map.write().unwrap_or_else(|e| e.into_inner());
-    Arc::clone(w.entry((name.to_string(), label.to_string())).or_default())
+    Arc::clone(
+        w.entry(name.to_string())
+            .or_default()
+            .entry(label.to_string())
+            .or_default(),
+    )
+}
+
+/// Calls `f(name, label, instrument)` for every instrument in `map`, in
+/// `(name, label)` order.
+fn for_each<T>(map: &RwLock<Family<T>>, mut f: impl FnMut(&str, &str, &T)) {
+    for (name, labels) in map.read().unwrap_or_else(|e| e.into_inner()).iter() {
+        for (label, v) in labels {
+            f(name, label, v);
+        }
+    }
 }
 
 impl Registry {
@@ -83,65 +99,33 @@ impl Registry {
     /// Zeroes every registered instrument in place. Cached `Arc` handles
     /// stay valid and keep recording into the same instruments.
     pub fn reset(&self) {
-        for c in self
-            .counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            c.reset();
-        }
-        for g in self
-            .gauges
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            g.reset();
-        }
-        for h in self
-            .histograms
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .values()
-        {
-            h.reset();
-        }
+        for_each(&self.counters, |_, _, c| c.reset());
+        for_each(&self.gauges, |_, _, g| g.reset());
+        for_each(&self.histograms, |_, _, h| h.reset());
     }
 
     /// A point-in-time copy of every instrument, sorted by
     /// `(name, label)`.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|((name, label), c)| CounterSample {
-                name: name.clone(),
-                label: label.clone(),
+        let mut snap = MetricsSnapshot::default();
+        for_each(&self.counters, |name, label, c| {
+            snap.counters.push(CounterSample {
+                name: name.to_string(),
+                label: label.to_string(),
                 value: c.get(),
             })
-            .collect();
-        let gauges = self
-            .gauges
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|((name, label), g)| GaugeSample {
-                name: name.clone(),
-                label: label.clone(),
+        });
+        for_each(&self.gauges, |name, label, g| {
+            snap.gauges.push(GaugeSample {
+                name: name.to_string(),
+                label: label.to_string(),
                 value: g.get(),
             })
-            .collect();
-        let histograms = self
-            .histograms
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|((name, label), h)| HistogramSample {
-                name: name.clone(),
-                label: label.clone(),
+        });
+        for_each(&self.histograms, |name, label, h| {
+            snap.histograms.push(HistogramSample {
+                name: name.to_string(),
+                label: label.to_string(),
                 count: h.count(),
                 sum: h.sum(),
                 min: h.min().unwrap_or(0),
@@ -151,12 +135,8 @@ impl Registry {
                 p95: h.percentile(0.95),
                 p99: h.percentile(0.99),
             })
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
+        });
+        snap
     }
 }
 
@@ -412,6 +392,31 @@ mod tests {
         assert_eq!(s.gauges[0].value, -4);
         assert_eq!(s.histograms[0].count, 1);
         assert_eq!(s.histograms[0].min, 1_000);
+    }
+
+    #[test]
+    fn snapshot_orders_prefix_names_before_their_extensions() {
+        // Nested maps must iterate exactly like `(name, label)` tuples:
+        // "a" (every label) before "a.b", and "" before "x" within a name.
+        let r = Registry::new();
+        for (name, label) in [("a.b", "x"), ("a", "x"), ("a.b", ""), ("a", "")] {
+            r.counter_labeled(name, label).inc();
+            r.histogram_labeled(name, label).record(1);
+        }
+        let want = vec![("a", ""), ("a", "x"), ("a.b", ""), ("a.b", "x")];
+        let s = r.snapshot();
+        let counters: Vec<(&str, &str)> = s
+            .counters
+            .iter()
+            .map(|c| (c.name.as_str(), c.label.as_str()))
+            .collect();
+        let histograms: Vec<(&str, &str)> = s
+            .histograms
+            .iter()
+            .map(|h| (h.name.as_str(), h.label.as_str()))
+            .collect();
+        assert_eq!(counters, want);
+        assert_eq!(histograms, want);
     }
 
     #[test]

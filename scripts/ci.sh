@@ -13,11 +13,16 @@ cargo doc --offline --no-deps --workspace
 
 # estbench is a workspace of its own, so a dve-core API change can break
 # it without failing the build above. Build it hermetically, then run a
-# one-second estimate_mix smoke: it exits nonzero if any sanity-clamp,
-# JSON re-parse or cross-client bit-identity check fails.
+# one-second smoke of each workload. Each exits nonzero if one of its
+# output checks fails: sanity clamp, JSON re-parse and cross-client bit
+# identity (estimate_mix); HLL relative error and jobs=1 ≡ jobs=N spectra
+# (column_profile); merged n/r, GEE bounds and HLL relative error after
+# every incremental refresh (append_refresh).
 CARGO_HOME=$(mktemp -d) cargo build --release --offline --manifest-path estbench/Cargo.toml
-"${CARGO_TARGET_DIR:-estbench/target}/release/estbench" \
-    --workload estimate_mix --seconds 1 --trace 0 >/dev/null
+for workload in estimate_mix append_refresh column_profile; do
+    "${CARGO_TARGET_DIR:-estbench/target}/release/estbench" \
+        --workload "$workload" --seconds 1 --trace 0 >/dev/null
+done
 
 # Accuracy regression gate: re-run the audit sweep and compare against
 # the committed baseline (tolerances absorb RNG-stream and machine

@@ -69,6 +69,25 @@ fn registry_lookup_is_allocation_free_on_the_hot_path() {
 }
 
 #[test]
+fn warm_metric_lookup_is_allocation_free() {
+    use distinct_values::obs;
+
+    // `instrument` looks up a labeled counter and histogram for every
+    // estimator it wraps; once the instruments exist, the lookup borrows
+    // the name and label and must not build an owned key.
+    let reg = obs::global();
+    let _ = reg.counter_labeled("test.alloc_free.calls", "GEE");
+    let _ = reg.histogram_labeled("test.alloc_free_ns", "GEE");
+    let count = allocations_in(|| {
+        for _ in 0..1000 {
+            drop(reg.counter_labeled("test.alloc_free.calls", "GEE"));
+            drop(reg.histogram_labeled("test.alloc_free_ns", "GEE"));
+        }
+    });
+    assert_eq!(count, 0, "warm metric lookup allocated {count} times");
+}
+
+#[test]
 fn tracing_off_is_allocation_free_on_the_span_path() {
     use distinct_values::obs::trace;
 
