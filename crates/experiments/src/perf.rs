@@ -53,8 +53,7 @@ pub struct PerfConfig {
     /// Rows in the synthetic ANALYZE table.
     pub analyze_rows: u64,
     /// Sampled values fed to the spectrum-merge scenario (chunked
-    /// [`SpectrumBuilder`](dve_core::spectrum::SpectrumBuilder) ingest
-    /// vs one-shot).
+    /// [`SpectrumBuilder`] ingest vs one-shot).
     pub merge_values: u64,
     /// Observations recorded per chunk in the windowed-histogram
     /// scenario (the monitoring hot path, under rotation pressure).

@@ -38,6 +38,4 @@ pub mod sequential;
 pub mod with_replacement;
 pub mod without_replacement;
 
-pub use profile::{
-    profile_of_values, profile_of_values_chunked, sample_profile, SampleAccumulator, SamplingScheme,
-};
+pub use profile::{profile_of_values, profile_of_values_chunked, sample_profile, SamplingScheme};

@@ -145,9 +145,9 @@ const PROBE_ROWS: usize = 65_536;
 const MIN_CHUNK_ROWS: usize = 8_192;
 
 /// [`profile_of_values`] with split-count-merge parallelism: a serial
-/// prefix of [`PROBE_ROWS`] values is counted first and its distinct
+/// prefix of `PROBE_ROWS` values is counted first and its distinct
 /// count `d₀` used to pre-size the per-chunk tables; the remaining
-/// values are cut into contiguous chunks of at least [`MIN_CHUNK_ROWS`]
+/// values are cut into contiguous chunks of at least `MIN_CHUNK_ROWS`
 /// on the [`dve_par`] worker pool, each counted into its own
 /// open-addressing [`SpectrumBuilder`] table, and the per-chunk
 /// builders folded into the probe's with
@@ -201,71 +201,6 @@ pub fn profile_of_values_chunked(
         acc.absorb(b);
     }
     acc.finish_with_table_rows(n)
-}
-
-/// A mergeable per-class count accumulator for **partitioned sampling**.
-///
-/// Uniform sampling distributes over horizontal partitions: sampling each
-/// partition at the same rate and pooling the per-value counts yields a
-/// sample distributed like a stratified sample of the whole table —
-/// indistinguishable from simple random sampling for estimation purposes
-/// at these rates (each partition contributes `rows_p · q` samples, as a
-/// simple random sample of the union would in expectation). Workers
-/// accumulate locally and a coordinator [`merge`](SampleAccumulator::merge)s,
-/// so no raw sample ever crosses partitions — only `(value → count)` maps.
-#[derive(Debug, Clone, Default)]
-pub struct SampleAccumulator {
-    /// Value-level accumulation is delegated to the canonical core
-    /// builder; this type only adds the sampler-facing vocabulary
-    /// (partitions, samples of raw values).
-    builder: SpectrumBuilder,
-}
-
-impl SampleAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorbs a sample of `values` drawn from a partition of
-    /// `partition_rows` rows.
-    pub fn add_sample(&mut self, partition_rows: u64, values: &[u64]) {
-        self.builder.add_table_rows(partition_rows);
-        for &v in values {
-            self.builder.observe(v);
-        }
-    }
-
-    /// Merges another accumulator (another partition's worker) into this
-    /// one.
-    pub fn merge(&mut self, other: &SampleAccumulator) {
-        self.builder.merge_from(&other.builder);
-    }
-
-    /// Total rows across absorbed partitions.
-    pub fn table_rows(&self) -> u64 {
-        self.builder.table_rows()
-    }
-
-    /// Total sampled rows.
-    pub fn sampled_rows(&self) -> u64 {
-        self.builder.sampled_rows()
-    }
-
-    /// Finalizes into a frequency profile over the union of partitions.
-    pub fn finish(&self) -> Result<FrequencyProfile, ProfileError> {
-        self.builder.finish()
-    }
-
-    /// Finalizes against an explicitly supplied population size — used
-    /// when the caller has adjusted the table size (e.g. subtracting an
-    /// estimated NULL population, as `ANALYZE` does).
-    pub fn finish_with_table_rows(
-        &self,
-        table_rows: u64,
-    ) -> Result<FrequencyProfile, ProfileError> {
-        self.builder.finish_with_table_rows(table_rows)
-    }
 }
 
 #[cfg(test)]
@@ -377,57 +312,6 @@ mod tests {
         let mut r = rng(4);
         let p = sample_profile(&data, 5_000, SamplingScheme::WithoutReplacement, &mut r).unwrap();
         assert_eq!(p.distinct_in_sample(), 100);
-    }
-
-    #[test]
-    fn accumulator_matches_single_shot_profile() {
-        // Split a column into 4 partitions, sample each at 5%, merge —
-        // the result must be a valid profile over the whole table whose
-        // estimates agree statistically with whole-table sampling.
-        let data = column();
-        let mut r = rng(41);
-        let parts: Vec<&[u64]> = data.chunks(2_500).collect();
-        let mut acc = SampleAccumulator::new();
-        for part in &parts {
-            let sample = crate::without_replacement::sample_values(part, 125, &mut r);
-            acc.add_sample(part.len() as u64, &sample);
-        }
-        assert_eq!(acc.table_rows(), 10_000);
-        assert_eq!(acc.sampled_rows(), 500);
-        let p = acc.finish().unwrap();
-        assert_eq!(p.table_size(), 10_000);
-        assert_eq!(p.sample_size(), 500);
-        // 100 classes, 5% sampling → expect essentially all classes seen.
-        assert!(
-            p.distinct_in_sample() >= 95,
-            "d = {}",
-            p.distinct_in_sample()
-        );
-    }
-
-    #[test]
-    fn accumulator_merge_is_associative_in_effect() {
-        let data = column();
-        let mut r = rng(42);
-        let halves: Vec<&[u64]> = data.chunks(5_000).collect();
-        let s1 = crate::without_replacement::sample_values(halves[0], 200, &mut r);
-        let s2 = crate::without_replacement::sample_values(halves[1], 200, &mut r);
-        // One-accumulator path.
-        let mut a = SampleAccumulator::new();
-        a.add_sample(5_000, &s1);
-        a.add_sample(5_000, &s2);
-        // Two-worker path.
-        let mut w1 = SampleAccumulator::new();
-        w1.add_sample(5_000, &s1);
-        let mut w2 = SampleAccumulator::new();
-        w2.add_sample(5_000, &s2);
-        w1.merge(&w2);
-        assert_eq!(a.finish().unwrap(), w1.finish().unwrap());
-    }
-
-    #[test]
-    fn empty_accumulator_yields_error() {
-        assert!(SampleAccumulator::new().finish().is_err());
     }
 
     #[test]

@@ -27,8 +27,8 @@ use dve_obs::minijson::{self, JsonValue};
 use dve_obs::trace;
 use dve_storage::analyze::AnalyzeError;
 use dve_storage::{
-    analyze_table_jobs, build_table_stats, columns_to_json, AnalyzeOptions, CatalogEntry, Column,
-    DataType, Field, Schema, StatsCatalog, Table,
+    analyze_table_jobs, build_table_stats, columns_to_json, AnalyzeOptions, Column, DataType,
+    Field, Schema, StatsCatalog, Table,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -730,9 +730,9 @@ fn parse_analyze_query(query: &str) -> Result<AnalyzeQuery, Response> {
 fn stats_lookup(table: &str, status: &ServeStatus) -> Response {
     let catalog = status.catalog.lock().expect("catalog lock");
     match catalog.get(table) {
-        Some(entry) => {
+        Some(stats) => {
             let _serialize = trace::span("serve.serialize");
-            Response::json(200, entry.stats.to_json())
+            Response::json(200, stats.to_json())
         }
         None => Response::error(
             404,
@@ -826,13 +826,9 @@ fn analyze(req: &Request, status: &ServeStatus) -> Response {
         // The catalog build runs the identical analyze (same seed, same
         // sample) and additionally derives the catalog artifacts.
         return match build_table_stats(&table, &name, &options, knobs.seed) {
-            Ok(built) => {
-                let column_json = columns_to_json(&built.column_statistics);
-                status
-                    .catalog
-                    .lock()
-                    .expect("catalog lock")
-                    .save(CatalogEntry::from(built));
+            Ok(stats) => {
+                let column_json = columns_to_json(&stats.column_statistics());
+                status.catalog.lock().expect("catalog lock").save(stats);
                 let _serialize = trace::span("serve.serialize");
                 let mut out = format!("{{\"columns\":{column_json},\"saved\":\"");
                 escape_into(&mut out, &name);

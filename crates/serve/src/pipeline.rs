@@ -277,9 +277,8 @@ pub fn estimate_profile(
 /// once over the union.
 ///
 /// Merging sums `n`, `r`, and the f-vectors, which is exact when shards
-/// partition the table *horizontally with disjoint sampled rows* — the
-/// same contract as [`dve_sample::SampleAccumulator`], except only the
-/// spectra travel. A single shard is exactly [`estimate_spectrum`]:
+/// partition the table *horizontally with disjoint sampled rows*; only
+/// the spectra travel. A single shard is exactly [`estimate_spectrum`]:
 /// shipping `[(n, s)]` and `(n, s)` produce byte-identical responses.
 pub fn estimate_shards(
     shards: Vec<(u64, Vec<u64>)>,

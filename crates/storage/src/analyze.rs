@@ -15,8 +15,9 @@ use crate::stats::ColumnStatistics;
 use crate::table::Table;
 use dve_core::bounds::{gee_confidence_interval, ConfidenceInterval};
 use dve_core::design::SampleDesign;
+use dve_core::estimator::DistinctEstimator;
 use dve_core::registry;
-use dve_core::spectrum::SpectrumBuilder;
+use dve_core::spectrum::{Spectrum, SpectrumBuilder};
 use dve_numeric::rng::Rng;
 
 /// Options for [`analyze_table`].
@@ -117,6 +118,42 @@ pub fn analyze_table_jobs(
     jobs: usize,
     rng: &mut Rng,
 ) -> Result<Vec<ColumnStatistics>, AnalyzeError> {
+    let analyzed = analyze_counted(table, options, jobs, rng)?;
+    Ok(analyzed.columns.into_iter().map(|c| c.statistics).collect())
+}
+
+/// One analyzed column: the plain statistics plus what the catalog
+/// build reads its extras from.
+pub(crate) struct AnalyzedColumn {
+    /// The classic ANALYZE output.
+    pub(crate) statistics: ColumnStatistics,
+    /// The column's counts over the whole sample.
+    pub(crate) builder: SpectrumBuilder,
+    /// The NULL-scaled sample behind `statistics`.
+    pub(crate) sample: ColumnSample,
+}
+
+/// A full ANALYZE's product, before it is reduced to
+/// [`ColumnStatistics`].
+pub(crate) struct Analyzed {
+    /// The shared row sample.
+    pub(crate) rows: Vec<u64>,
+    /// The estimator's canonical name.
+    pub(crate) estimator: &'static str,
+    /// Per-column results, in schema order.
+    pub(crate) columns: Vec<AnalyzedColumn>,
+}
+
+/// The ANALYZE core behind [`analyze_table_jobs`] and the catalog
+/// build: validates the options, draws the one shared WOR row sample,
+/// counts it per column with [`count_columns`] and estimates each
+/// column under `wor(n_eff)`.
+pub(crate) fn analyze_counted(
+    table: &Table,
+    options: &AnalyzeOptions,
+    jobs: usize,
+    rng: &mut Rng,
+) -> Result<Analyzed, AnalyzeError> {
     let n = table.row_count() as u64;
     if n == 0 {
         return Err(AnalyzeError::EmptyTable);
@@ -126,7 +163,6 @@ pub fn analyze_table_jobs(
     }
     let estimator = registry::by_name_instrumented(&options.estimator)?;
     let r = ((n as f64 * options.sampling_fraction).round() as u64).clamp(1, n);
-    let jobs = dve_par::resolve_jobs((jobs > 0).then_some(jobs));
 
     let obs = dve_obs::global();
     let analyze_ns = obs.histogram("storage.analyze_ns");
@@ -137,13 +173,62 @@ pub fn analyze_table_jobs(
 
     // One shared row sample for the whole table, as real ANALYZE does.
     let rows = dve_sample::without_replacement::sample_indices(n, r, rng);
+    let columns = table
+        .schema()
+        .fields()
+        .iter()
+        .zip(count_columns(table, &rows, jobs))
+        .map(|(field, (builder, nulls))| {
+            let sample = finish_column(&builder, nulls, n, r);
+            let design = SampleDesign::wor(sample.n_eff);
+            let (distinct_estimate, interval) =
+                estimate_column(estimator.as_ref(), sample.spectrum.as_ref(), design, n);
+            let statistics = ColumnStatistics {
+                column: field.name.clone(),
+                row_count: n,
+                null_count_estimate: sample.null_count_estimate,
+                sample_rows: r,
+                sample_distinct: sample
+                    .spectrum
+                    .as_ref()
+                    .map_or(0, Spectrum::distinct_in_sample),
+                distinct_estimate,
+                interval,
+                estimator: estimator.name().to_string(),
+            };
+            AnalyzedColumn {
+                statistics,
+                builder,
+                sample,
+            }
+        })
+        .collect();
+    Ok(Analyzed {
+        rows,
+        estimator: estimator.name(),
+        columns,
+    })
+}
 
-    // Fan (column × row-chunk) counting across the pool. Chunking rows
-    // as well as columns keeps every worker busy even on narrow tables;
-    // boundaries depend only on (r, jobs), never on scheduling. The
-    // MIN_ROWS_PER_TASK floor stops small samples from being shredded
-    // into chunks whose dispatch overhead exceeds the counting work —
-    // the reason parallel ANALYZE used to lose to serial.
+/// Counts the sampled `rows` of every column of `table` — the one
+/// counting fan-out behind full ANALYZE, the catalog build and the
+/// incremental refresh. Returns each column's builder and its sampled
+/// NULL count, in schema order.
+///
+/// `(column × row-chunk)` tasks run on `jobs` workers (`0` = the
+/// default chain). Chunking rows as well as columns keeps every worker
+/// busy even on narrow tables; boundaries depend only on
+/// `(rows.len(), jobs)`, never on scheduling, and the per-chunk
+/// builders fold with [`SpectrumBuilder::absorb`], which commutes — so
+/// the counts are identical for every `jobs` value. The
+/// [`MIN_ROWS_PER_TASK`] floor stops small samples from being shredded
+/// into chunks whose dispatch overhead exceeds the counting work.
+pub(crate) fn count_columns(
+    table: &Table,
+    rows: &[u64],
+    jobs: usize,
+) -> Vec<(SpectrumBuilder, u64)> {
+    let jobs = dve_par::resolve_jobs((jobs > 0).then_some(jobs));
     let ncols = table.schema().len();
     let chunk_count = jobs.div_ceil(ncols).max(1);
     let per_chunk = rows
@@ -171,168 +256,85 @@ pub fn analyze_table_jobs(
         });
 
     let mut counted = counted.into_iter();
-    let mut out = Vec::with_capacity(ncols);
-    for field in table.schema().fields().iter() {
-        let mut acc = SpectrumBuilder::new();
-        let mut nulls_in_sample = 0u64;
-        for _ in 0..row_chunks.len() {
-            let (b, nulls) = counted.next().expect("one result per counting task");
-            // Moves the first chunk's table instead of re-counting it —
-            // a 1-job ANALYZE pays nothing for the merge phase.
-            acc.absorb(b);
-            nulls_in_sample += nulls;
-        }
-        let null_count_estimate = ((nulls_in_sample as f64 / r as f64) * n as f64).round() as u64;
-        let non_null_r = r - nulls_in_sample;
-        // Table size for the non-NULL sub-population, never below the
-        // non-NULL sample itself.
-        let n_eff = n.saturating_sub(null_count_estimate).max(non_null_r);
-
-        let stats = if non_null_r == 0 {
-            // Every sampled row NULL: nothing to estimate. Report zero
-            // distinct with the trivially-valid interval [0, n_eff].
-            ColumnStatistics {
-                column: field.name.clone(),
-                row_count: n,
-                null_count_estimate,
-                sample_rows: r,
-                sample_distinct: 0,
-                distinct_estimate: 0.0,
-                interval: ConfidenceInterval {
-                    lower: 0.0,
-                    estimate: 0.0,
-                    upper: n_eff as f64,
-                },
-                estimator: estimator.name().to_string(),
+    (0..ncols)
+        .map(|_| {
+            let mut acc = SpectrumBuilder::new();
+            let mut nulls = 0u64;
+            for _ in 0..row_chunks.len() {
+                let (b, chunk_nulls) = counted.next().expect("one result per counting task");
+                // Moves the first chunk's table instead of re-counting
+                // it — a 1-job ANALYZE pays nothing for the merge phase.
+                acc.absorb(b);
+                nulls += chunk_nulls;
             }
-        } else {
-            let profile = acc
-                .finish_with_table_rows(n_eff)
-                .expect("non-empty non-null sample");
-            let estimate = estimator.estimate_for(&profile, SampleDesign::wor(n_eff));
-            ColumnStatistics {
-                column: field.name.clone(),
-                row_count: n,
-                null_count_estimate,
-                sample_rows: r,
-                sample_distinct: profile.distinct_in_sample(),
-                distinct_estimate: estimate,
-                interval: gee_confidence_interval(&profile),
-                estimator: estimator.name().to_string(),
-            }
-        };
-        out.push(stats);
-    }
-    Ok(out)
+            (acc, nulls)
+        })
+        .collect()
 }
 
-/// Analyzes a horizontally **partitioned** table: each partition is
-/// sampled independently at `options.sampling_fraction`, per-column value
-/// counts are merged with [`dve_sample::SampleAccumulator`] (the
-/// distributed-statistics path — only `(hash → count)` maps leave a
-/// partition), and each column's estimate is computed over the union.
-///
-/// All partitions must share the schema of `partitions[0]`.
-pub fn analyze_partitions(
-    partitions: &[&Table],
-    options: &AnalyzeOptions,
-    rng: &mut Rng,
-) -> Result<Vec<ColumnStatistics>, AnalyzeError> {
-    use dve_sample::SampleAccumulator;
-    let Some(first) = partitions.first() else {
-        return Err(AnalyzeError::EmptyTable);
-    };
-    if !(options.sampling_fraction > 0.0 && options.sampling_fraction <= 1.0) {
-        return Err(AnalyzeError::BadSamplingFraction);
-    }
-    let estimator = registry::by_name_instrumented(&options.estimator)?;
-    let ncols = first.schema().len();
-    let obs = dve_obs::global();
-    let analyze_ns = obs.histogram("storage.analyze_ns");
-    let _timer = analyze_ns.start_timer();
-    obs.counter("storage.analyze.columns").add(ncols as u64);
-    for part in partitions {
-        assert_eq!(
-            part.schema(),
-            first.schema(),
-            "partitions must share a schema"
-        );
-    }
-    let total_rows: u64 = partitions.iter().map(|t| t.row_count() as u64).sum();
-    if total_rows == 0 {
-        return Err(AnalyzeError::EmptyTable);
-    }
+/// One column's counted sample, NULL-scaled.
+pub(crate) struct ColumnSample {
+    /// NULL rows in the population, scaled up from the sample.
+    pub(crate) null_count_estimate: u64,
+    /// Size of the non-NULL sub-population the spectrum is finished
+    /// against, never below the non-NULL sample itself.
+    pub(crate) n_eff: u64,
+    /// The non-NULL sample's spectrum; `None` when every sampled row
+    /// was NULL.
+    pub(crate) spectrum: Option<Spectrum>,
+}
 
-    // One accumulator and null counter per column.
-    let mut accs: Vec<SampleAccumulator> = (0..ncols).map(|_| SampleAccumulator::new()).collect();
-    let mut nulls_in_sample = vec![0u64; ncols];
-    let mut total_sampled = 0u64;
-
-    for part in partitions {
-        let n = part.row_count() as u64;
-        if n == 0 {
-            continue;
-        }
-        let r = ((n as f64 * options.sampling_fraction).round() as u64).clamp(1, n);
-        obs.counter("storage.analyze.rows_sampled").add(r);
-        total_sampled += r;
-        let rows = dve_sample::without_replacement::sample_indices(n, r, rng);
-        for (idx, acc) in accs.iter_mut().enumerate() {
-            let column = part.column(idx);
-            let mut values = Vec::with_capacity(rows.len());
-            for &row in &rows {
-                match column.hash_code(row as usize) {
-                    Some(h) => values.push(h),
-                    None => nulls_in_sample[idx] += 1,
-                }
-            }
-            acc.add_sample(n, &values);
-        }
+/// Turns a column's counts over `r` sampled rows of an `n`-row
+/// population, `nulls` of them NULL, into its [`ColumnSample`]:
+/// estimators are defined over non-NULL values, so the spectrum covers
+/// the non-NULL part of the sample against the correspondingly reduced
+/// population.
+pub(crate) fn finish_column(builder: &SpectrumBuilder, nulls: u64, n: u64, r: u64) -> ColumnSample {
+    let null_count_estimate = ((nulls as f64 / r as f64) * n as f64).round() as u64;
+    let non_null_r = r - nulls;
+    let n_eff = n.saturating_sub(null_count_estimate).max(non_null_r);
+    let spectrum = (non_null_r > 0).then(|| {
+        builder
+            .finish_with_table_rows(n_eff)
+            .expect("non-empty non-null sample")
+    });
+    ColumnSample {
+        null_count_estimate,
+        n_eff,
+        spectrum,
     }
+}
 
-    let mut out = Vec::with_capacity(ncols);
-    for (idx, field) in first.schema().fields().iter().enumerate() {
-        let acc = &accs[idx];
-        let null_count_estimate = ((nulls_in_sample[idx] as f64 / total_sampled as f64)
-            * total_rows as f64)
-            .round() as u64;
-        // Same NULL semantics as the single-table path: estimate over the
-        // non-NULL sub-population.
-        let n_eff = total_rows
-            .saturating_sub(null_count_estimate)
-            .max(acc.sampled_rows());
-        let stats = match acc.finish_with_table_rows(n_eff) {
-            Err(_) => ColumnStatistics {
-                column: field.name.clone(),
-                row_count: total_rows,
-                null_count_estimate,
-                sample_rows: total_sampled,
-                sample_distinct: 0,
-                distinct_estimate: 0.0,
-                interval: ConfidenceInterval {
+/// The distinct estimate and GEE interval for a column's spectrum
+/// under `design`. Without a spectrum (every sampled row NULL) there is
+/// nothing to estimate: zero distinct, with the trivially valid
+/// interval `[0, N]` over the design's population (`rows` under WR).
+pub(crate) fn estimate_column(
+    estimator: &dyn DistinctEstimator,
+    spectrum: Option<&Spectrum>,
+    design: SampleDesign,
+    rows: u64,
+) -> (f64, ConfidenceInterval) {
+    match spectrum {
+        Some(spectrum) => (
+            estimator.estimate_for(spectrum, design),
+            gee_confidence_interval(spectrum),
+        ),
+        None => {
+            let upper = match design {
+                SampleDesign::WithoutReplacement { n } => n as f64,
+                SampleDesign::WithReplacement => rows as f64,
+            };
+            (
+                0.0,
+                ConfidenceInterval {
                     lower: 0.0,
                     estimate: 0.0,
-                    upper: total_rows as f64,
+                    upper,
                 },
-                estimator: estimator.name().to_string(),
-            },
-            Ok(profile) => {
-                let estimate = estimator.estimate_for(&profile, SampleDesign::wor(n_eff));
-                ColumnStatistics {
-                    column: field.name.clone(),
-                    row_count: total_rows,
-                    null_count_estimate,
-                    sample_rows: total_sampled,
-                    sample_distinct: profile.distinct_in_sample(),
-                    distinct_estimate: estimate,
-                    interval: gee_confidence_interval(&profile),
-                    estimator: estimator.name().to_string(),
-                }
-            }
-        };
-        out.push(stats);
+            )
+        }
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -517,98 +519,5 @@ mod tests {
         let o = AnalyzeOptions::default();
         assert_eq!(o.estimator, "AE");
         assert!(o.sampling_fraction > 0.0 && o.sampling_fraction <= 1.0);
-    }
-
-    #[test]
-    fn partitioned_analyze_agrees_with_whole_table() {
-        // Split a 10k-row table into 4 partitions; partitioned ANALYZE
-        // must land near the single-table result.
-        let n = 10_000usize;
-        let values: Vec<u64> = (0..n as u64).map(|i| (i * 37) % 250).collect();
-        let whole = Table::from_generated("k", &values);
-        let parts: Vec<Table> = values
-            .chunks(2_500)
-            .map(|c| Table::from_generated("k", c))
-            .collect();
-        let part_refs: Vec<&Table> = parts.iter().collect();
-        let opts = AnalyzeOptions {
-            sampling_fraction: 0.1,
-            estimator: "AE".into(),
-        };
-        let whole_stats = analyze_table(&whole, &opts, &mut rng(21)).unwrap();
-        let part_stats = analyze_partitions(&part_refs, &opts, &mut rng(22)).unwrap();
-        assert_eq!(part_stats[0].row_count, 10_000);
-        assert!(
-            (part_stats[0].distinct_estimate - whole_stats[0].distinct_estimate).abs()
-                < 0.15 * whole_stats[0].distinct_estimate,
-            "partitioned {} vs whole {}",
-            part_stats[0].distinct_estimate,
-            whole_stats[0].distinct_estimate
-        );
-        // Both near the truth of 250.
-        assert!((part_stats[0].distinct_estimate - 250.0).abs() < 40.0);
-    }
-
-    #[test]
-    fn partitioned_analyze_handles_nulls_and_empty_partitions() {
-        let schema = || Schema::new(vec![Field::nullable("x", DataType::Int64)]);
-        let p1 = Table::new(
-            schema(),
-            vec![Column::from_i64_opt(
-                &(0..1000i64)
-                    .map(|i| if i % 2 == 0 { Some(i % 20) } else { None })
-                    .collect::<Vec<_>>(),
-            )],
-        )
-        .unwrap();
-        let p2 = Table::new(
-            schema(),
-            vec![Column::from_i64_opt(
-                &(0..1000i64).map(|i| Some(i % 20)).collect::<Vec<_>>(),
-            )],
-        )
-        .unwrap();
-        let opts = AnalyzeOptions {
-            sampling_fraction: 0.2,
-            estimator: "GEE".into(),
-        };
-        let stats = analyze_partitions(&[&p1, &p2], &opts, &mut rng(23)).unwrap();
-        assert_eq!(stats[0].row_count, 2_000);
-        // ~25% of all rows are NULL.
-        assert!(
-            (stats[0].null_count_estimate as f64 - 500.0).abs() < 150.0,
-            "nulls {}",
-            stats[0].null_count_estimate
-        );
-        assert!((stats[0].distinct_estimate - 20.0).abs() < 4.0);
-    }
-
-    #[test]
-    fn partitioned_analyze_error_paths() {
-        let opts = AnalyzeOptions::default();
-        assert_eq!(
-            analyze_partitions(&[], &opts, &mut rng(24)),
-            Err(AnalyzeError::EmptyTable)
-        );
-        let t = test_table();
-        assert_eq!(
-            analyze_partitions(
-                &[&t],
-                &AnalyzeOptions {
-                    sampling_fraction: 0.0,
-                    estimator: "GEE".into()
-                },
-                &mut rng(25)
-            ),
-            Err(AnalyzeError::BadSamplingFraction)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "share a schema")]
-    fn partitioned_analyze_rejects_schema_mismatch() {
-        let a = Table::from_generated("x", &[1, 2, 3]);
-        let b = Table::from_generated("y", &[1, 2, 3]);
-        let _ = analyze_partitions(&[&a, &b], &AnalyzeOptions::default(), &mut rng(26));
     }
 }

@@ -1,11 +1,11 @@
 //! The optimizer-grade statistics catalog — persisted `TableStats` /
 //! `ColumnStats` with incremental ANALYZE refresh.
 //!
-//! ANALYZE produces [`crate::stats::ColumnStatistics`] and, before this
-//! module existed, dropped them on the floor. The catalog promotes that
-//! output into the artifact a query optimizer actually reads (the
-//! paper's motivating consumer, §1): per column the distinct estimate
-//! with GEE's `[LOWER, UPPER]` interval, the NULL fraction, a
+//! Plain ANALYZE produces [`crate::stats::ColumnStatistics`]. The catalog
+//! build runs the same sample-count-estimate core and keeps what a query
+//! optimizer actually reads (the paper's motivating consumer, §1): per
+//! column the distinct estimate with GEE's `[LOWER, UPPER]` interval,
+//! the NULL fraction, a
 //! most-common-values list (top-k of the sampled frequency spectrum),
 //! an equi-depth histogram over sampled `Int64` values, the
 //! [`SampleDesign`] the estimate was computed under, and an HLL shadow
@@ -44,17 +44,19 @@
 //! lives in [`crate::persist`] (`save_table_stats` / `load_table_stats`:
 //! versioned, checksummed, saved alongside the table).
 
-use crate::analyze::{analyze_table_jobs, AnalyzeError, AnalyzeOptions};
+use crate::analyze::{
+    analyze_counted, count_columns, estimate_column, finish_column, AnalyzeError, AnalyzeOptions,
+};
 use crate::column::value_hash;
 use crate::query::{Filter, Predicate};
 use crate::stats::ColumnStatistics;
 use crate::table::Table;
 use crate::value::DataType;
-use dve_core::bounds::{gee_confidence_interval, ConfidenceInterval};
+use dve_core::bounds::ConfidenceInterval;
 use dve_core::design::SampleDesign;
 use dve_core::hash::mix64;
 use dve_core::registry;
-use dve_core::spectrum::{Spectrum, SpectrumBuilder};
+use dve_core::spectrum::Spectrum;
 use dve_numeric::rng::Rng;
 use dve_obs::minijson::{self, JsonValue};
 use dve_obs::trace;
@@ -260,11 +262,6 @@ impl ColumnStats {
         }
     }
 
-    /// A scale-free confidence signal: interval width over estimate.
-    pub fn relative_uncertainty(&self) -> f64 {
-        self.interval.width() / self.distinct_estimate.max(1.0)
-    }
-
     /// Non-NULL rows in the cumulative sample (the spectrum's `r`).
     fn non_null_sample_rows(&self) -> u64 {
         self.spectrum.as_ref().map_or(0, |s| s.sample_size())
@@ -360,6 +357,26 @@ impl TableStats {
         Ok(col.selectivity(&filter.predicate, self.row_count))
     }
 
+    /// The classic ANALYZE output for these stats — what `dve analyze
+    /// --save` and `POST /v1/analyze?save=true` print. Straight after
+    /// [`build_table_stats`] it equals
+    /// [`crate::analyze::analyze_table_jobs`] with the same seed.
+    pub fn column_statistics(&self) -> Vec<ColumnStatistics> {
+        self.columns
+            .iter()
+            .map(|c| ColumnStatistics {
+                column: c.name.clone(),
+                row_count: self.row_count,
+                null_count_estimate: c.null_count_estimate,
+                sample_rows: c.sample_rows,
+                sample_distinct: c.sample_distinct,
+                distinct_estimate: c.distinct_estimate,
+                interval: c.interval,
+                estimator: self.estimator.clone(),
+            })
+            .collect()
+    }
+
     /// Estimated rows surviving a conjunction of filters, under the
     /// textbook independence assumption.
     pub fn estimated_rows_after_filter(
@@ -375,23 +392,8 @@ impl TableStats {
 }
 
 // ---------------------------------------------------------------------
-// Building (full ANALYZE → catalog entry)
+// Building (full ANALYZE → catalog stats)
 // ---------------------------------------------------------------------
-
-/// The product of a full catalog ANALYZE: the persistable
-/// [`TableStats`], the per-column [`SpectrumBuilder`]s (live count
-/// tables, kept in in-memory catalog entries), and the plain
-/// [`ColumnStatistics`] for the existing `analyze` output contract.
-#[derive(Debug, Clone)]
-pub struct BuiltStats {
-    /// The catalog artifact.
-    pub stats: TableStats,
-    /// Per-column builders from this analyze (schema order).
-    pub builders: Vec<SpectrumBuilder>,
-    /// The classic ANALYZE output, bit-identical to
-    /// [`crate::analyze::analyze_table_jobs`] with the same seed.
-    pub column_statistics: Vec<ColumnStatistics>,
-}
 
 /// Sorts `(hash, count)` pairs into the canonical MCV order and keeps
 /// the top [`MCV_TARGET`].
@@ -422,10 +424,12 @@ fn sampled_int_values(col: &crate::column::Column, rows: &[u64]) -> Option<Vec<i
     Some(values)
 }
 
-/// Runs a full catalog ANALYZE: one shared WOR row sample (drawn from
-/// `Rng::seed_from_u64(seed)`, identical to [`analyze_table_jobs`] with
-/// the same seed), per-column estimates via the normal ANALYZE path, plus the
-/// catalog artifacts (MCVs, histogram, HLL shadow, merged spectrum).
+/// Runs a full catalog ANALYZE through the same core as
+/// [`crate::analyze::analyze_table_jobs`]: one shared WOR row sample
+/// drawn from `Rng::seed_from_u64(seed)`, counted once per column, so
+/// the estimates are bit-identical to a plain ANALYZE with that seed.
+/// The catalog artifacts (MCVs, HLL shadow, histogram, spectrum) come
+/// from the same counts and sample.
 ///
 /// Deterministic: the same `(table, options, seed)` produce
 /// byte-identical [`TableStats::to_json`] output wherever they run —
@@ -436,74 +440,49 @@ pub fn build_table_stats(
     name: &str,
     options: &AnalyzeOptions,
     seed: u64,
-) -> Result<BuiltStats, AnalyzeError> {
+) -> Result<TableStats, AnalyzeError> {
     let _span = trace::span("catalog.analyze").detail(|| format!("table={name}"));
     dve_obs::global().counter("catalog.full_analyzes").inc();
 
-    let column_statistics = analyze_table_jobs(table, options, 0, &mut Rng::seed_from_u64(seed))?;
+    let analyzed = analyze_counted(table, options, 0, &mut Rng::seed_from_u64(seed))?;
+    let columns = analyzed
+        .columns
+        .into_iter()
+        .enumerate()
+        .map(|(idx, c)| {
+            let mut hll = HyperLogLog::new(HLL_SHADOW_PRECISION);
+            for (hash, _) in c.builder.counts() {
+                hll.insert(hash);
+            }
+            let cs = c.statistics;
+            ColumnStats {
+                name: cs.column,
+                null_count_estimate: cs.null_count_estimate,
+                sample_rows: cs.sample_rows,
+                sample_distinct: cs.sample_distinct,
+                distinct_estimate: cs.distinct_estimate,
+                interval: cs.interval,
+                design: SampleDesign::wor(c.sample.n_eff),
+                spectrum: c.sample.spectrum,
+                mcvs: top_k_mcvs(c.builder.counts()),
+                histogram: sampled_int_values(table.column(idx), &analyzed.rows)
+                    .as_deref()
+                    .and_then(Histogram::from_sorted),
+                hll,
+            }
+        })
+        .collect();
 
-    // Re-derive the identical row sample for the artifact pass: the
-    // sample is the first thing `analyze_table_jobs` draws from its RNG.
     let n = table.row_count() as u64;
-    let r = ((n as f64 * options.sampling_fraction).round() as u64).clamp(1, n);
-    let rows = dve_sample::without_replacement::sample_indices(n, r, &mut Rng::seed_from_u64(seed));
-
-    let mut columns = Vec::with_capacity(column_statistics.len());
-    let mut builders = Vec::with_capacity(column_statistics.len());
-    for (idx, cs) in column_statistics.iter().enumerate() {
-        let col = table.column(idx);
-        let mut builder = match col.distinct_hint() {
-            Some(d) => SpectrumBuilder::with_capacity(d.min(rows.len())),
-            None => SpectrumBuilder::new(),
-        };
-        let nulls_in_sample = col.count_sampled_rows(&rows, &mut builder);
-        let non_null_r = r - nulls_in_sample;
-        let n_eff = n.saturating_sub(cs.null_count_estimate).max(non_null_r);
-
-        let mut hll = HyperLogLog::new(HLL_SHADOW_PRECISION);
-        for (hash, _) in builder.counts() {
-            hll.insert(hash);
-        }
-        let spectrum = (non_null_r > 0).then(|| {
-            builder
-                .finish_with_table_rows(n_eff)
-                .expect("non-empty non-null sample")
-        });
-        columns.push(ColumnStats {
-            name: cs.column.clone(),
-            null_count_estimate: cs.null_count_estimate,
-            sample_rows: cs.sample_rows,
-            sample_distinct: cs.sample_distinct,
-            distinct_estimate: cs.distinct_estimate,
-            interval: cs.interval,
-            design: SampleDesign::wor(n_eff),
-            spectrum,
-            mcvs: top_k_mcvs(builder.counts()),
-            histogram: sampled_int_values(col, &rows)
-                .as_deref()
-                .and_then(Histogram::from_sorted),
-            hll,
-        });
-        builders.push(builder);
-    }
-
-    let estimator = column_statistics
-        .first()
-        .map(|cs| cs.estimator.clone())
-        .unwrap_or_else(|| options.estimator.clone());
-    Ok(BuiltStats {
-        stats: TableStats {
-            table: name.to_string(),
-            row_count: n,
-            rows_at_full_analyze: n,
-            increments: 0,
-            sampling_fraction: options.sampling_fraction,
-            estimator,
-            seed,
-            columns,
-        },
-        builders,
-        column_statistics,
+    Ok(TableStats {
+        table: name.to_string(),
+        row_count: n,
+        rows_at_full_analyze: n,
+        increments: 0,
+        sampling_fraction: options.sampling_fraction,
+        estimator: analyzed.estimator.to_string(),
+        seed,
+        columns,
     })
 }
 
@@ -677,8 +656,8 @@ pub fn full_resample(
         sampling_fraction: stats.sampling_fraction,
         estimator: stats.estimator.clone(),
     };
-    let built = build_table_stats(table, &stats.table, &options, stats.seed)?;
-    Ok((built.stats, RefreshOutcome::FullResample(reason)))
+    let rebuilt = build_table_stats(table, &stats.table, &options, stats.seed)?;
+    Ok((rebuilt, RefreshOutcome::FullResample(reason)))
 }
 
 /// Asserts the table still has the columns the stats describe.
@@ -746,31 +725,28 @@ fn incremental_merge(
         .counter("catalog.refresh.rows_sampled")
         .add(r_new);
 
+    let counted = count_columns(table, &rows, 0);
     let mut columns = Vec::with_capacity(stats.columns.len());
-    for (idx, old) in stats.columns.iter().enumerate() {
+    for ((idx, old), (builder, nulls)) in stats.columns.iter().enumerate().zip(counted) {
         let col = table.column(idx);
-        let mut builder = match col.distinct_hint() {
-            Some(d) => SpectrumBuilder::with_capacity(d.min(rows.len())),
-            None => SpectrumBuilder::new(),
-        };
-        let nulls_in_sample = col.count_sampled_rows(&rows, &mut builder);
-        let non_null_r = r_new - nulls_in_sample;
-        let null_new = ((nulls_in_sample as f64 / r_new as f64) * m as f64).round() as u64;
-        let n_eff_new = m.saturating_sub(null_new).max(non_null_r);
-
-        let new_spectrum = (non_null_r > 0).then(|| {
-            builder
-                .finish_with_table_rows(n_eff_new)
-                .expect("non-empty non-null sample")
-        });
+        let new = finish_column(&builder, nulls, m, r_new);
+        let new_design = SampleDesign::wor(new.n_eff);
         // THE merge: old stats and the new segment are two WOR shards.
         let merged = Spectrum::merge_designed(
             old.spectrum
                 .clone()
                 .map(|s| (s, old.design))
                 .into_iter()
-                .chain(new_spectrum.map(|s| (s, SampleDesign::wor(n_eff_new)))),
+                .chain(new.spectrum.map(|s| (s, new_design))),
         );
+        // Still nothing but NULLs: the design still grows by the
+        // segment's non-NULL population.
+        let (spectrum, design) = match merged {
+            Some((spectrum, design)) => (Some(spectrum), design),
+            None => (None, old.design.merge(new_design)),
+        };
+        let (distinct_estimate, interval) =
+            estimate_column(estimator.as_ref(), spectrum.as_ref(), design, n0 + m);
 
         let mut hll = old.hll.clone();
         for (hash, _) in builder.counts() {
@@ -788,38 +764,11 @@ fn incremental_merge(
             (None, None) => None,
         };
 
-        let null_count_estimate = old.null_count_estimate + null_new;
-        let (distinct_estimate, interval, design, spectrum) = match merged {
-            Some((spectrum, design)) => {
-                let estimate = estimator.estimate_for(&spectrum, design);
-                let interval = gee_confidence_interval(&spectrum);
-                (estimate, interval, design, Some(spectrum))
-            }
-            None => {
-                // Still nothing but NULLs: keep the trivially valid
-                // zero estimate over the grown non-NULL population.
-                let design = old.design.merge(SampleDesign::wor(n_eff_new));
-                let upper = match design {
-                    SampleDesign::WithoutReplacement { n } => n as f64,
-                    SampleDesign::WithReplacement => (n0 + m) as f64,
-                };
-                (
-                    0.0,
-                    ConfidenceInterval {
-                        lower: 0.0,
-                        estimate: 0.0,
-                        upper,
-                    },
-                    design,
-                    None,
-                )
-            }
-        };
         columns.push(ColumnStats {
             name: old.name.clone(),
-            null_count_estimate,
+            null_count_estimate: old.null_count_estimate + new.null_count_estimate,
             sample_rows: old.sample_rows + r_new,
-            sample_distinct: spectrum.as_ref().map_or(0, |s| s.distinct_in_sample()),
+            sample_distinct: spectrum.as_ref().map_or(0, Spectrum::distinct_in_sample),
             distinct_estimate,
             interval,
             design,
@@ -852,34 +801,13 @@ fn incremental_merge(
 // In-memory catalog (the serve daemon's registry)
 // ---------------------------------------------------------------------
 
-/// One in-memory catalog entry: the persistable stats plus the live
-/// per-ANALYZE [`SpectrumBuilder`]s (value-level count tables — the
-/// exact state a future value-level merge or debug endpoint needs; the
-/// persisted form keeps only the finished spectra).
-#[derive(Debug, Clone)]
-pub struct CatalogEntry {
-    /// The catalog artifact.
-    pub stats: TableStats,
-    /// Per-column builders from the entry's last full analyze.
-    pub builders: Vec<SpectrumBuilder>,
-}
-
-impl From<BuiltStats> for CatalogEntry {
-    fn from(built: BuiltStats) -> Self {
-        CatalogEntry {
-            stats: built.stats,
-            builders: built.builders,
-        }
-    }
-}
-
 /// An in-memory statistics catalog keyed by table name — what
 /// `dve serve` holds behind `POST /v1/analyze?save=true` and
 /// `GET /v1/stats/{table}`. Lookups bump `catalog.hits` /
 /// `catalog.misses`; saves bump `catalog.saves`.
 #[derive(Debug, Clone, Default)]
 pub struct StatsCatalog {
-    entries: HashMap<String, CatalogEntry>,
+    entries: HashMap<String, TableStats>,
 }
 
 impl StatsCatalog {
@@ -888,17 +816,15 @@ impl StatsCatalog {
         Self::default()
     }
 
-    /// Saves (or replaces) the entry under its table name; `true` when
-    /// an existing entry was replaced.
-    pub fn save(&mut self, entry: CatalogEntry) -> bool {
+    /// Saves (or replaces) the stats under their table name; `true`
+    /// when an existing entry was replaced.
+    pub fn save(&mut self, stats: TableStats) -> bool {
         dve_obs::global().counter("catalog.saves").inc();
-        self.entries
-            .insert(entry.stats.table.clone(), entry)
-            .is_some()
+        self.entries.insert(stats.table.clone(), stats).is_some()
     }
 
     /// Looks a table up, counting the hit or miss.
-    pub fn get(&self, table: &str) -> Option<&CatalogEntry> {
+    pub fn get(&self, table: &str) -> Option<&TableStats> {
         let entry = self.entries.get(table);
         let obs = dve_obs::global();
         match entry {
@@ -1206,6 +1132,7 @@ impl ColumnStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::analyze_table_jobs;
     use crate::column::Column;
     use crate::table::{Field, Schema};
     use crate::value::Value;
@@ -1232,8 +1159,8 @@ mod tests {
         let table = int_table(&values);
         let built = build_table_stats(&table, "t", &opts(0.1), 7).unwrap();
         let plain = analyze_table_jobs(&table, &opts(0.1), 0, &mut Rng::seed_from_u64(7)).unwrap();
-        assert_eq!(built.column_statistics, plain);
-        let c = &built.stats.columns[0];
+        assert_eq!(built.column_statistics(), plain);
+        let c = &built.columns[0];
         assert_eq!(c.distinct_estimate, plain[0].distinct_estimate);
         assert_eq!(c.sample_distinct, plain[0].sample_distinct);
         assert_eq!(
@@ -1242,8 +1169,8 @@ mod tests {
         );
         assert!(!c.mcvs.is_empty());
         assert!(c.histogram.is_some());
-        assert_eq!(built.stats.row_count, 5_000);
-        assert_eq!(built.stats.last_analyzed(), 5_000);
+        assert_eq!(built.row_count, 5_000);
+        assert_eq!(built.last_analyzed(), 5_000);
     }
 
     #[test]
@@ -1253,7 +1180,7 @@ mod tests {
         values.extend(std::iter::repeat_n(1i64, 990));
         let table = int_table(&values);
         let built = build_table_stats(&table, "t", &opts(1.0), 1).unwrap();
-        let mcvs = &built.stats.columns[0].mcvs;
+        let mcvs = &built.columns[0].mcvs;
         assert_eq!(mcvs.len(), MCV_TARGET.min(10));
         assert_eq!(mcvs[0].hash, value_hash(&Value::Int64(1)).unwrap());
         assert_eq!(mcvs[0].count, 991);
@@ -1337,7 +1264,7 @@ mod tests {
         let built = build_table_stats(&int_table(&seg1), "t", &opts(1.0), 3).unwrap();
         let grown = int_table(&whole);
         let (refreshed, outcome) =
-            refresh_table_stats(&grown, &built.stats, &RefreshPolicy::default()).unwrap();
+            refresh_table_stats(&grown, &built, &RefreshPolicy::default()).unwrap();
         assert_eq!(
             outcome,
             RefreshOutcome::Incremental {
@@ -1347,14 +1274,14 @@ mod tests {
         );
         let full = build_table_stats(&grown, "t", &opts(1.0), 3).unwrap();
         assert_eq!(
-            refreshed.columns[0].spectrum, full.stats.columns[0].spectrum,
+            refreshed.columns[0].spectrum, full.columns[0].spectrum,
             "incremental and full spectra must agree"
         );
         assert_eq!(
             refreshed.columns[0].distinct_estimate,
-            full.stats.columns[0].distinct_estimate
+            full.columns[0].distinct_estimate
         );
-        assert_eq!(refreshed.columns[0].design, full.stats.columns[0].design);
+        assert_eq!(refreshed.columns[0].design, full.columns[0].design);
         assert_eq!(refreshed.row_count, 1_000);
         assert_eq!(refreshed.increments, 1);
     }
@@ -1375,7 +1302,7 @@ mod tests {
                 staleness_threshold: 1.0,
                 ..RefreshPolicy::default()
             };
-            let (refreshed, outcome) = refresh_table_stats(&grown, &built.stats, &policy).unwrap();
+            let (refreshed, outcome) = refresh_table_stats(&grown, &built, &policy).unwrap();
             assert_eq!(
                 outcome,
                 RefreshOutcome::Incremental {
@@ -1384,14 +1311,11 @@ mod tests {
                 }
             );
             let full = build_table_stats(&grown, "t", &opts(1.0), 11).unwrap();
-            assert_eq!(
-                &refreshed.columns[0].spectrum,
-                &full.stats.columns[0].spectrum
-            );
-            assert_eq!(refreshed.columns[0].design, full.stats.columns[0].design);
+            assert_eq!(&refreshed.columns[0].spectrum, &full.columns[0].spectrum);
+            assert_eq!(refreshed.columns[0].design, full.columns[0].design);
             assert_eq!(
                 refreshed.columns[0].distinct_estimate,
-                full.stats.columns[0].distinct_estimate
+                full.columns[0].distinct_estimate
             );
         });
     }
@@ -1409,7 +1333,7 @@ mod tests {
             ..RefreshPolicy::default()
         };
         let (refreshed, outcome) =
-            refresh_table_stats(&int_table(&whole), &built.stats, &policy).unwrap();
+            refresh_table_stats(&int_table(&whole), &built, &policy).unwrap();
         assert_eq!(
             outcome,
             RefreshOutcome::FullResample(ResampleReason::OverlapDrift)
@@ -1424,13 +1348,13 @@ mod tests {
         let table = int_table(&values);
         let built = build_table_stats(&table, "t", &opts(0.2), 9).unwrap();
         let (same, outcome) =
-            refresh_table_stats(&table, &built.stats, &RefreshPolicy::default()).unwrap();
+            refresh_table_stats(&table, &built, &RefreshPolicy::default()).unwrap();
         assert_eq!(outcome, RefreshOutcome::NoNewRows);
-        assert_eq!(same, built.stats);
+        assert_eq!(same, built);
 
         let shrunk = int_table(&values[..500]);
         let (re, outcome) =
-            refresh_table_stats(&shrunk, &built.stats, &RefreshPolicy::default()).unwrap();
+            refresh_table_stats(&shrunk, &built, &RefreshPolicy::default()).unwrap();
         assert_eq!(
             outcome,
             RefreshOutcome::FullResample(ResampleReason::TableShrank)
@@ -1447,7 +1371,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            refresh_table_stats(&renamed, &built.stats, &RefreshPolicy::default()),
+            refresh_table_stats(&renamed, &built, &RefreshPolicy::default()),
             Err(CatalogError::SchemaMismatch(_))
         ));
     }
@@ -1457,9 +1381,9 @@ mod tests {
         let values: Vec<i64> = (0..3_000).map(|i| (i * 7) % 90).collect();
         let table = int_table(&values);
         let built = build_table_stats(&table, "ro\"und\ntrip", &opts(0.15), 13).unwrap();
-        let json = built.stats.to_json();
+        let json = built.to_json();
         let parsed = TableStats::from_json(&json).unwrap();
-        assert_eq!(parsed, built.stats, "struct round-trip");
+        assert_eq!(parsed, built, "struct round-trip");
         assert_eq!(parsed.to_json(), json, "byte round-trip");
 
         // And again after an incremental refresh (exercises the merged
@@ -1473,8 +1397,7 @@ mod tests {
             overlap_drift_threshold: 1.0,
             ..RefreshPolicy::default()
         };
-        let (refreshed, _) =
-            refresh_table_stats(&int_table(&whole), &built.stats, &policy).unwrap();
+        let (refreshed, _) = refresh_table_stats(&int_table(&whole), &built, &policy).unwrap();
         let json = refreshed.to_json();
         let parsed = TableStats::from_json(&json).unwrap();
         assert_eq!(parsed, refreshed);
@@ -1484,7 +1407,7 @@ mod tests {
     #[test]
     fn from_json_rejects_corruption() {
         let built = build_table_stats(&int_table(&[1, 2, 3]), "t", &opts(1.0), 1).unwrap();
-        let json = built.stats.to_json();
+        let json = built.to_json();
         assert!(TableStats::from_json("{").is_err());
         assert!(TableStats::from_json("{}").is_err());
         // An inconsistent spectrum fails from_parts validation.
@@ -1506,7 +1429,7 @@ mod tests {
         )
         .unwrap();
         let built = build_table_stats(&table, "t", &opts(1.0), 2).unwrap();
-        let stats = &built.stats;
+        let stats = &built;
 
         let sel = |p: Predicate| stats.selectivity(&Filter::new("k", p)).unwrap();
         let nulls = sel(Predicate::IsNull);
@@ -1543,11 +1466,8 @@ mod tests {
         let built = build_table_stats(&int_table(&[1, 2, 3]), "t", &opts(1.0), 1).unwrap();
         let mut catalog = StatsCatalog::new();
         assert!(catalog.is_empty());
-        assert!(!catalog.save(CatalogEntry::from(built.clone())));
-        assert!(
-            catalog.save(CatalogEntry::from(built)),
-            "replacement reported"
-        );
+        assert!(!catalog.save(built.clone()));
+        assert!(catalog.save(built), "replacement reported");
         assert_eq!(catalog.len(), 1);
         assert_eq!(catalog.table_names(), vec!["t"]);
         assert!(catalog.get("t").is_some());

@@ -5,8 +5,8 @@
 //! count `d`, the frequency spectrum `f_i`, and the sample skew. This
 //! crate provides the equivalent open substrate:
 //!
-//! * [`value`] / [`column`] — typed columns (`Int64`, `Float64`, `Str`,
-//!   `Bool`) with NULL masks, chunked adaptive encodings
+//! * [`value`] / [`column`](mod@column) — typed columns (`Int64`,
+//!   `Float64`, `Str`, `Bool`) with NULL masks, chunked adaptive encodings
 //!   ([`encoding`]: plain / run-length / dictionary), O(1)-ish point
 //!   access, and deterministic per-row value hashes for sampling;
 //! * [`table`] — schemas, tables, and a catalog;
@@ -46,10 +46,10 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
-pub use analyze::{analyze_partitions, analyze_table, analyze_table_jobs, AnalyzeOptions};
+pub use analyze::{analyze_table, analyze_table_jobs, AnalyzeOptions};
 pub use catalog::{
-    build_table_stats, refresh_table_stats, CatalogEntry, ColumnStats, RefreshOutcome,
-    RefreshPolicy, StatsCatalog, TableStats,
+    build_table_stats, refresh_table_stats, ColumnStats, RefreshOutcome, RefreshPolicy,
+    StatsCatalog, TableStats,
 };
 pub use column::Column;
 pub use persist::{

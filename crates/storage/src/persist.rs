@@ -729,10 +729,10 @@ mod tests {
         let stats_path = stats_path_for(&table_path);
         assert_eq!(stats_path, dir.join("t.dvet.stats.json"));
 
-        save_table_stats(&built.stats, &table_path).unwrap();
+        save_table_stats(&built, &table_path).unwrap();
         let loaded = load_table_stats(&table_path).unwrap();
-        assert_eq!(loaded, built.stats, "struct round-trip");
-        assert_eq!(loaded.to_json(), built.stats.to_json(), "byte round-trip");
+        assert_eq!(loaded, built, "struct round-trip");
+        assert_eq!(loaded.to_json(), built.to_json(), "byte round-trip");
         // Saving the loaded stats reproduces the file bit for bit.
         let first = std::fs::read(&stats_path).unwrap();
         save_table_stats(&loaded, &table_path).unwrap();

@@ -327,7 +327,6 @@ mod tests {
             7,
         )
         .unwrap()
-        .stats
     }
 
     #[test]
@@ -339,12 +338,12 @@ mod tests {
             estimator: "AE".into(),
         };
         let built = build_table_stats(&table, "t", &options, 7).unwrap();
-        let direct = plan_group_by(&built.column_statistics[0], 1_000);
-        let from_catalog = plan_group_by_from_catalog(&built.stats, "k", 1_000).unwrap();
+        let direct = plan_group_by(&built.column_statistics()[0], 1_000);
+        let from_catalog = plan_group_by_from_catalog(&built, "k", 1_000).unwrap();
         assert_eq!(direct, from_catalog);
         assert_eq!(from_catalog.strategy, GroupByStrategy::HashAggregate);
         assert!(matches!(
-            plan_group_by_from_catalog(&built.stats, "nope", 1_000),
+            plan_group_by_from_catalog(&built, "nope", 1_000),
             Err(PlannerError::NoSuchColumn(_))
         ));
     }

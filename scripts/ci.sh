@@ -24,11 +24,6 @@ for workload in estimate_mix append_refresh column_profile; do
         --workload "$workload" --seconds 1 --trace 0 >/dev/null
 done
 
-# Accuracy regression gate: re-run the audit sweep and compare against
-# the committed baseline (tolerances absorb RNG-stream and machine
-# noise; real estimator regressions move these numbers far more).
-./target/release/dve audit --check BENCH_accuracy.json
-
 # Parallel determinism + wall-time gate: time the audit sweep, ANALYZE,
 # spectrum ingest, and the mixed-encoding ingest/analyze scenarios at
 # jobs=1 vs jobs=N (prints the comparison table, including the
@@ -52,6 +47,8 @@ cmp "$tmpdir/j1.json" "$tmpdir/j4.json"
 # ints, categorical strings) must ANALYZE byte-identically at --jobs 1
 # and --jobs 4 — the encoding-aware counting fast paths, pre-sized
 # open-addressing builders, and the absorb merge may not move a bit.
+# `analyze --save` must print the same bytes, and the catalog stats it
+# saves must not depend on --jobs either.
 awk 'BEGIN{for(i=0;i<30000;i++)print int(i/64)}' >"$tmpdir/sorted.txt"
 ./target/release/dve import --type int64 --out "$tmpdir/rle.dvet" "$tmpdir/sorted.txt"
 awk 'BEGIN{for(i=0;i<30000;i++)print (i*7919)%101}' >"$tmpdir/lowcard.txt"
@@ -64,6 +61,14 @@ for t in rle dict strs; do
     ./target/release/dve analyze --format json --fraction 0.2 --seed 11 --jobs 4 \
         "$tmpdir/$t.dvet" >"$tmpdir/$t-j4.json"
     cmp "$tmpdir/$t-j1.json" "$tmpdir/$t-j4.json"
+    for j in 1 4; do
+        ./target/release/dve analyze --format json --fraction 0.2 --seed 11 --jobs "$j" \
+            --save "$tmpdir/$t.dvet" >"$tmpdir/$t-save-j$j.json"
+        ./target/release/dve stats show "$tmpdir/$t.dvet" >"$tmpdir/$t-stats-j$j.json"
+    done
+    cmp "$tmpdir/$t-j1.json" "$tmpdir/$t-save-j1.json"
+    cmp "$tmpdir/$t-j4.json" "$tmpdir/$t-save-j4.json"
+    cmp "$tmpdir/$t-stats-j1.json" "$tmpdir/$t-stats-j4.json"
 done
 
 # Serve smoke: boot the daemon on a private port, exercise every
@@ -411,3 +416,10 @@ if ./target/release/dve stats show "$tmpdir/cat.dvet" >/dev/null 2>&1; then
     echo "stats show succeeded after drop" >&2
     exit 1
 fi
+
+# Accuracy regression gate: re-run the audit sweep and compare against
+# the committed baseline (tolerances absorb RNG-stream and machine
+# noise; real estimator regressions move these numbers far more). It
+# runs last so that a failure here cannot hide the verdicts of the
+# gates above; it still fails the script.
+./target/release/dve audit --check BENCH_accuracy.json

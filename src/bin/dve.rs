@@ -1097,14 +1097,14 @@ fn cmd_analyze(args: &[String]) {
             let built =
                 distinct_values::storage::build_table_stats(&table, &table_name, &options, seed)
                     .unwrap_or_else(|e| fail_analyze(e));
-            distinct_values::storage::save_table_stats(&built.stats, std::path::Path::new(path))
+            distinct_values::storage::save_table_stats(&built, std::path::Path::new(path))
                 .unwrap_or_else(|e| fail(1, format!("cannot save statistics for {path}: {e}")));
             Event::info("cli.analyze.saved")
                 .message(format!(
                     "saved statistics for table {table_name:?} next to {path}"
                 ))
                 .emit();
-            built.column_statistics
+            built.column_statistics()
         } else {
             let mut rng = Rng::seed_from_u64(seed);
             distinct_values::storage::analyze_table(&table, &options, &mut rng)
@@ -1143,8 +1143,9 @@ fn cmd_analyze(args: &[String]) {
 
 /// `dve stats show|refresh|drop TABLE.dvet` — the CLI surface over the
 /// statistics catalog (DESIGN.md §14). `show` prints the saved
-/// [`TableStats`] JSON exactly as persisted (byte-identical with
-/// `GET /v1/stats/{table}` for the same build inputs); `refresh` folds
+/// [`TableStats`](distinct_values::storage::TableStats) JSON exactly as
+/// persisted (byte-identical with `GET /v1/stats/{table}` for the same
+/// build inputs); `refresh` folds
 /// appended rows in incrementally or resamples per policy and saves the
 /// result; `drop` deletes the sidecar.
 fn cmd_stats(args: &[String]) {

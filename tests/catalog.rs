@@ -36,8 +36,7 @@ fn optimizer_flips_group_by_plan_after_incremental_refresh() {
     // hash budget.
     let old: Vec<i64> = (0..6_000).map(|i| i % 100).collect();
     let table = int_table(&old);
-    let built = build_table_stats(&table, "events", &opts(0.5), 7).expect("analyze succeeds");
-    let stale = built.stats;
+    let stale = build_table_stats(&table, "events", &opts(0.5), 7).expect("analyze succeeds");
 
     let budget = 1_000u64;
     let before = plan_group_by_from_catalog(&stale, "k", budget).expect("column exists");
@@ -95,7 +94,7 @@ fn heavy_append_forces_full_resample() {
     let mut grown = old.clone();
     grown.extend((0..3_000).map(|i| 500_000 + i as i64));
     let (fresh, outcome) =
-        refresh_table_stats(&int_table(&grown), &built.stats, &RefreshPolicy::default())
+        refresh_table_stats(&int_table(&grown), &built, &RefreshPolicy::default())
             .expect("refresh succeeds");
     assert_eq!(
         outcome,
@@ -119,22 +118,21 @@ fn stats_sidecar_round_trips_through_disk() {
     let table = int_table(&values);
     save_table(&table, &path).expect("save table");
     let built = build_table_stats(&table, "t", &opts(0.3), 42).expect("analyze succeeds");
-    save_table_stats(&built.stats, &path).expect("save stats");
+    save_table_stats(&built, &path).expect("save stats");
 
     let loaded = load_table_stats(&path).expect("load stats");
-    assert_eq!(loaded, built.stats, "struct round-trip");
+    assert_eq!(loaded, built, "struct round-trip");
     assert_eq!(
         loaded.to_json(),
-        built.stats.to_json(),
+        built.to_json(),
         "re-serialization is bit-identical"
     );
 
     // A refreshed sidecar persists and reloads the same way.
     let mut grown = values.clone();
     grown.extend((0..200).map(|i| 90_000 + i as i64));
-    let (fresh, _) =
-        refresh_table_stats(&int_table(&grown), &built.stats, &RefreshPolicy::default())
-            .expect("refresh succeeds");
+    let (fresh, _) = refresh_table_stats(&int_table(&grown), &built, &RefreshPolicy::default())
+        .expect("refresh succeeds");
     save_table_stats(&fresh, &path).expect("save refreshed stats");
     let reloaded = load_table_stats(&path).expect("reload stats");
     assert_eq!(reloaded, fresh);

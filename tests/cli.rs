@@ -388,6 +388,45 @@ fn stats_show_refresh_drop_flow() {
 }
 
 #[test]
+fn stats_refresh_sidecars_are_identical_across_jobs() {
+    // analyze --save → import --append → stats refresh, at --jobs 1 and
+    // at --jobs 4. Both samples span several counting chunks, so at
+    // --jobs 4 the full and the incremental count both fan out.
+    let dir = std::env::temp_dir().join(format!("dve_cli_jobs_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let base: String = (0..20_000)
+        .map(|i| format!("{}\n", (i * 31) % 4_999))
+        .collect();
+    let fresh: String = (0..10_000)
+        .map(|i| format!("{}\n", 50_000 + i % 3_001))
+        .collect();
+    let sidecar = |jobs: &str| {
+        let path = dir.join(format!("j{jobs}.dvet"));
+        let path = path.to_str().unwrap();
+        assert!(run_with_stdin(&["import", "--out", path, "--type", "int64", "-"], &base).2);
+        let out = dve()
+            .args(["--jobs", jobs, "analyze", path, "--save", "--table", "t"])
+            .args(["--fraction", "0.5", "--seed", "5"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "analyze --save failed");
+        assert!(run_with_stdin(&["import", "--out", path, "--append", "-"], &fresh).2);
+        let out = dve()
+            .args(["--jobs", jobs, "stats", "refresh", path])
+            .output()
+            .unwrap();
+        let summary = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(summary.contains("incremental"), "{summary}");
+        std::fs::read(format!("{path}.stats.json")).unwrap()
+    };
+    assert!(
+        sidecar("1") == sidecar("4"),
+        "--jobs 1 and --jobs 4 sidecars differ"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn stats_flag_validation_fails_cleanly() {
     // --table without --save is a usage error.
     let out = dve()

@@ -147,10 +147,10 @@ fn stats_sidecars_decode_or_fail_typed() {
         estimator: "AE".into(),
     };
     let built = build_table_stats(&sample_table(), "t", &options, 3).unwrap();
-    save_table_stats(&built.stats, &table_path).unwrap();
+    save_table_stats(&built, &table_path).unwrap();
     let sidecar = stats_path_for(&table_path);
     let valid = std::fs::read(&sidecar).unwrap();
-    let body = built.stats.to_json();
+    let body = built.to_json();
     check("stats_sidecars_decode_or_fail_typed", 256, |rng| {
         let bytes = if rng.below(2) == 0 {
             mutate(rng, valid.clone(), true)
@@ -203,7 +203,6 @@ fn minijson_documents_parse_or_fail_typed() {
     let docs = [
         build_table_stats(&sample_table(), "t", &options, 1)
             .unwrap()
-            .stats
             .to_json(),
         r#"{"a":[1,-2.5e3,true,false,null],"b":{"c":"é\n\"x\""},"d":[]}"#.to_string(),
     ];

@@ -560,6 +560,12 @@ fn analyze_save_and_stats_over_sockets() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"saved\":\"city\""), "{body}");
 
+    // The saved run prints the catalog's view of the same analyze: minus
+    // the additive member, byte-identical to the plain response.
+    let (status, plain) = post(addr, "/v1/analyze", &request);
+    assert_eq!(status, 200, "{plain}");
+    assert_eq!(body.replace(",\"saved\":\"city\"", ""), plain);
+
     // The saved stats come back as canonical TableStats JSON: parseable,
     // and bit-identical under a parse → re-serialize round trip.
     let (status, stats) = get(addr, "/v1/stats/city");
