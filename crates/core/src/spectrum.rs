@@ -219,7 +219,13 @@ impl Spectrum {
 
     /// Builds a spectrum from the per-class occurrence counts observed in
     /// the sample (one entry per distinct value, its multiplicity in the
-    /// sample). Zero counts are ignored.
+    /// sample). Zero counts are ignored, and the result is independent
+    /// of input order.
+    ///
+    /// Frequencies below 64 — nearly every class of a real sample — are
+    /// tallied in a direct-indexed array; only the rarer larger ones go
+    /// through a [`CountTable`] keyed by the frequency and are sorted
+    /// into the ascending tail.
     ///
     /// ```
     /// use dve_core::Spectrum;
@@ -234,16 +240,25 @@ impl Spectrum {
         n: u64,
         counts: impl IntoIterator<Item = u64>,
     ) -> Result<Self, SpectrumError> {
-        // Frequencies are counted in an open-addressing table keyed by
-        // the frequency itself (cheap: most samples have a handful of
-        // distinct frequencies), then sorted into canonical ascending
-        // order — the result is independent of input order.
-        let mut by_freq = CountTable::new();
+        const DENSE: u64 = 64;
+        let mut dense = [0u64; DENSE as usize];
+        let mut sparse = CountTable::new();
         for c in counts {
-            by_freq.add(c, u64::from(c != 0));
+            if c < DENSE {
+                dense[c as usize] += 1;
+            } else {
+                sparse.increment(c);
+            }
         }
-        let mut entries: Vec<(u64, u64)> = by_freq.iter().collect();
-        entries.sort_unstable();
+        // `dense[0]` holds the ignored zero counts.
+        let mut entries: Vec<(u64, u64)> = (1..DENSE)
+            .zip(&dense[1..])
+            .filter(|&(_, &f)| f > 0)
+            .map(|(i, &f)| (i, f))
+            .collect();
+        let tail = entries.len();
+        entries.extend(sparse.iter());
+        entries[tail..].sort_unstable();
         Self::from_sparse(n, entries)
     }
 
@@ -345,7 +360,7 @@ impl Spectrum {
     /// assert_eq!((whole.f(1), whole.f(2)), (40, 30));
     /// ```
     pub fn merge(&self, other: &Spectrum) -> Spectrum {
-        let mut entries = Vec::with_capacity(self.entries.len().max(other.entries.len()));
+        let mut entries = Vec::with_capacity(self.entries.len() + other.entries.len());
         let (mut a, mut b) = (
             self.entries.iter().peekable(),
             other.entries.iter().peekable(),
@@ -673,6 +688,68 @@ mod tests {
         let p = Spectrum::from_sample_counts(10, [0, 3, 0, 1]).unwrap();
         assert_eq!(p.distinct_in_sample(), 2);
         assert_eq!(p.sample_size(), 4);
+    }
+
+    /// `from_sample_counts` tallies frequencies below 64 densely and the
+    /// rest in a table; both must agree with a `BTreeMap` tally, zero
+    /// counts included (ignored), overflow included (an error).
+    #[test]
+    fn dense_and_sparse_frequencies_match_a_btreemap() {
+        use dve_numeric::check::{check, u64_in, usize_in, vec_of};
+        use std::collections::BTreeMap;
+        const HALF: u64 = u64::MAX / 2;
+        const EDGES: [u64; 8] = [0, 1, 63, 64, 65, HALF - 1, HALF, HALF + 1];
+        check(
+            "dense_and_sparse_frequencies_match_a_btreemap",
+            256,
+            |rng| {
+                let counts = vec_of(rng, 0..200, |rng| match rng.below(40) {
+                    0 => EDGES[usize_in(rng, 5..8)],
+                    1..=12 => EDGES[usize_in(rng, 0..5)],
+                    _ => u64_in(rng, 0..200),
+                });
+                let n = match rng.below(2) {
+                    0 => u64::MAX,
+                    _ => u64_in(rng, 1..20_000),
+                };
+                let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+                for &c in counts.iter().filter(|&&c| c != 0) {
+                    *reference.entry(c).or_insert(0) += 1;
+                }
+                let rows: u128 = reference
+                    .iter()
+                    .map(|(&i, &f)| u128::from(i) * u128::from(f))
+                    .sum();
+                let entries: Vec<(u64, u64)> = reference.into_iter().collect();
+
+                let got = Spectrum::from_sample_counts(n, counts.iter().copied());
+                assert_eq!(got, Spectrum::from_parts(n, entries.clone()));
+                if rows > u128::from(u64::MAX) {
+                    assert_eq!(
+                        got,
+                        Err(SpectrumError::SampleLargerThanTable {
+                            sample_rows: u64::MAX,
+                            table_rows: n,
+                        })
+                    );
+                }
+                if let Ok(s) = got {
+                    assert_eq!(s.spectrum().collect::<Vec<_>>(), entries);
+                }
+            },
+        );
+
+        // Both sides of the boundary in one sample, then an overflow.
+        let s = Spectrum::from_sample_counts(1_000, [0, 1, 63, 64, 65, 63, 0]).unwrap();
+        let spectrum: Vec<_> = s.spectrum().collect();
+        assert_eq!(spectrum, vec![(1, 1), (63, 2), (64, 1), (65, 1)]);
+        assert_eq!(
+            Spectrum::from_sample_counts(100, [HALF + 1, 3, HALF + 1]),
+            Err(SpectrumError::SampleLargerThanTable {
+                sample_rows: u64::MAX,
+                table_rows: 100,
+            })
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 CARGO_HOME=$(mktemp -d) cargo build --release --offline && cargo test -q --offline --workspace
 cargo fmt --all --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
-cargo doc --offline --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # estbench is a workspace of its own, so a dve-core API change can break
 # it without failing the build above. Build it hermetically, then run a

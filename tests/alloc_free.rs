@@ -175,6 +175,31 @@ fn presized_spectrum_ingest_is_allocation_free() {
 }
 
 #[test]
+fn rebuilding_a_large_spectrum_builder_reuses_its_slot_arrays() {
+    use distinct_values::core::spectrum::SpectrumBuilder;
+
+    // A profiling pass drops its multi-million-slot count tables and the
+    // next pass builds tables of the same size. Arrays of 2^20 slots and
+    // more are recycled, so the rebuild takes both back from the spare
+    // list instead of mapping and faulting in fresh ones. 800 000
+    // distinct values size a table at exactly 2^20 slots (two 8 MiB
+    // arrays). No other test here builds a table that large, so nothing
+    // takes the spares between the drop and the rebuild.
+    const DISTINCT: usize = 800_000;
+    drop(SpectrumBuilder::with_capacity(DISTINCT));
+    let mut rebuilt = None;
+    let count = allocations_in(|| rebuilt = Some(SpectrumBuilder::with_capacity(DISTINCT)));
+    assert_eq!(count, 0, "rebuilding the builder allocated {count} times");
+    let mut rebuilt = rebuilt.unwrap();
+    rebuilt.observe(7);
+    assert_eq!(
+        rebuilt.distinct_observed(),
+        1,
+        "a reused table starts empty"
+    );
+}
+
+#[test]
 fn probe_actually_counts() {
     // Guard against the probe silently going dead (e.g. a future
     // allocator change): a Vec allocation must register.
