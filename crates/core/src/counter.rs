@@ -22,6 +22,29 @@
 //! spectrum layer only ever consumes the *multiset* of counts (it
 //! re-sorts by frequency), which is chunking-invariant.
 //!
+//! # Scans without a branch per slot
+//!
+//! A table of a few million slots is mostly scanned, not probed: the
+//! fold walks every slot of each chunk table, and the finish every slot
+//! of the result. Whether a slot is occupied is a coin flip at these
+//! loads, so a test per slot mispredicts about half the time. The scans
+//! avoid it two ways:
+//!
+//! * **Masked iteration.** [`CountTable::iter`] and
+//!   [`CountTable::merge_from`] read the keys eight at a time into an
+//!   occupancy bit mask and walk its set bits, in slot order. A branch
+//!   per group of eight replaces one per slot.
+//! * **Zero-count invariant.** An empty slot always holds count 0: slot
+//!   arrays start zeroed (spares are zero-filled), and only an insert
+//!   writes a count, never 0. The spectrum finish therefore reads the
+//!   count slots alone, never the keys, and tallies the empty slots as
+//!   frequency 0, which it ignores.
+//!
+//! `merge_from` keeps its probe state (slices, mask, occupancy) in
+//! locals and grows at exactly the insert where a fold of
+//! [`CountTable::add`] calls would, so capacity, slot layout and
+//! iteration order are the same as that fold's.
+//!
 //! # Slot-array reuse
 //!
 //! Large slot arrays are recycled through one process-wide spare list.
@@ -202,10 +225,7 @@ impl CountTable {
                 self.keys[i] = key;
                 self.counts[i] = count;
                 self.occupied += 1;
-                // Load factor 7/8: grow *after* inserting so the table
-                // never probes full.
-                if self.occupied + (self.occupied >> 3) >= self.keys.len() - (self.keys.len() >> 3)
-                {
+                if at_load_limit(self.occupied, self.keys.len()) {
                     self.grow();
                 }
                 return;
@@ -244,16 +264,11 @@ impl CountTable {
     }
 
     /// Iterates `(key, count)` pairs with `count > 0`, in an
-    /// unspecified (capacity-dependent) order.
+    /// unspecified (capacity-dependent) order: the zero key first, then
+    /// the occupied slots in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let zero = (self.zero_count > 0).then_some((0u64, self.zero_count));
-        zero.into_iter().chain(
-            self.keys
-                .iter()
-                .zip(&self.counts)
-                .filter(|&(&k, _)| k != 0)
-                .map(|(&k, &c)| (k, c)),
-        )
+        zero.into_iter().chain(self.slots())
     }
 
     /// Iterates just the counts (the multiset the spectrum layer
@@ -262,11 +277,73 @@ impl CountTable {
         self.iter().map(|(_, c)| c)
     }
 
-    /// Folds `other`'s counts into `self` (counts for shared keys add).
-    pub fn merge_from(&mut self, other: &CountTable) {
-        for (k, c) in other.iter() {
-            self.add(k, c);
+    /// The count slots, one per slot in slot order, empty slots holding
+    /// 0, and the zero key's count. Together they hold every count the
+    /// table has; the finish reads them without the keys.
+    pub(crate) fn count_slots(&self) -> (&[u64], u64) {
+        (&self.counts, self.zero_count)
+    }
+
+    /// The occupied slots in slot order, found eight at a time.
+    fn slots(&self) -> Slots<'_> {
+        Slots {
+            keys: &self.keys,
+            counts: &self.counts,
+            group: 0,
+            bits: 0,
         }
+    }
+
+    /// Folds `other`'s counts into `self` (counts for shared keys add).
+    ///
+    /// Inserts `other`'s keys in its iteration order and grows at the
+    /// same insert as a fold of [`CountTable::add`] calls would, so the
+    /// result has the same slots and capacity as that fold.
+    pub fn merge_from(&mut self, other: &CountTable) {
+        self.total += other.total;
+        self.zero_count += other.zero_count;
+        if other.occupied == 0 {
+            return;
+        }
+        if self.keys.is_empty() {
+            self.allocate(MIN_CAPACITY);
+        }
+        let mut src = other.slots();
+        while self.insert_until_full(&mut src) {
+            self.grow();
+        }
+    }
+
+    /// Inserts `src`'s entries until one fills the table to its load
+    /// limit, and returns whether it stopped there; the caller then grows
+    /// and calls again for the rest. The probe state lives in locals.
+    fn insert_until_full(&mut self, src: &mut Slots<'_>) -> bool {
+        let (keys, counts) = (&mut self.keys[..], &mut self.counts[..]);
+        let (mask, capacity) = (self.mask, keys.len());
+        let mut occupied = self.occupied;
+        for (key, count) in src.by_ref() {
+            let mut i = mix64(key) as usize & mask;
+            loop {
+                let k = keys[i];
+                if k == key {
+                    counts[i] += count;
+                    break;
+                }
+                if k == 0 {
+                    keys[i] = key;
+                    counts[i] = count;
+                    occupied += 1;
+                    if at_load_limit(occupied, capacity) {
+                        self.occupied = occupied;
+                        return true;
+                    }
+                    break;
+                }
+                i = (i + 1) & mask;
+            }
+        }
+        self.occupied = occupied;
+        false
     }
 
     /// Consumes `other`, folding it into `self`. When `self` is still
@@ -284,6 +361,46 @@ impl CountTable {
         } else {
             self.merge_from(&other);
         }
+    }
+}
+
+/// Load factor 7/8: a table grows *after* the insert that brings it to
+/// this, so it never probes full.
+#[inline]
+fn at_load_limit(occupied: usize, capacity: usize) -> bool {
+    occupied + (occupied >> 3) >= capacity - (capacity >> 3)
+}
+
+/// Iterator over a table's occupied slots in slot order. It reads the
+/// keys eight at a time into an occupancy mask and walks its set bits,
+/// so an empty slot costs no branch of its own. Capacities are powers of
+/// two of at least [`MIN_CAPACITY`], so groups of eight tile the table.
+struct Slots<'a> {
+    keys: &'a [u64],
+    counts: &'a [u64],
+    /// Start of the group after the one `bits` belongs to.
+    group: usize,
+    /// Occupied slots of the current group not yet yielded, bit `j` for
+    /// slot `group - 8 + j`.
+    bits: u32,
+}
+
+impl Iterator for Slots<'_> {
+    type Item = (u64, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, u64)> {
+        while self.bits == 0 {
+            let keys = self.keys.get(self.group..self.group + 8)?;
+            self.bits = keys
+                .iter()
+                .enumerate()
+                .fold(0, |bits, (j, &k)| bits | u32::from(k != 0) << j);
+            self.group += 8;
+        }
+        let i = self.group - 8 + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((self.keys[i], self.counts[i]))
     }
 }
 
@@ -552,6 +669,177 @@ mod tests {
             });
             assert!(failures.is_empty(), "{failures:?}");
         });
+    }
+
+    /// The plain filtered scan, the reference the masked scan must
+    /// match: the zero key, then every slot whose key is non-zero.
+    fn filtered_scan(t: &CountTable) -> Vec<(u64, u64)> {
+        let zero = (t.zero_count > 0).then_some((0, t.zero_count));
+        zero.into_iter()
+            .chain(
+                t.keys
+                    .iter()
+                    .zip(&t.counts)
+                    .filter(|&(&k, _)| k != 0)
+                    .map(|(&k, &c)| (k, c)),
+            )
+            .collect()
+    }
+
+    /// The reference merge: one `add` per entry of `other`, in its
+    /// iteration order.
+    fn fold_of_adds(acc: &mut CountTable, other: &CountTable) {
+        for (k, c) in filtered_scan(other) {
+            acc.add(k, c);
+        }
+    }
+
+    /// `absorb`, with `fold_of_adds` in place of `merge_from`.
+    fn absorb_by_adds(acc: &mut CountTable, other: CountTable) {
+        if acc.is_empty() && acc.capacity() <= other.capacity() {
+            *acc = other;
+        } else if other.len() > acc.len() && other.capacity() >= CountTable::capacity_for(acc.len())
+        {
+            let mine = std::mem::replace(acc, other);
+            fold_of_adds(acc, &mine);
+        } else {
+            fold_of_adds(acc, &other);
+        }
+    }
+
+    /// Asserts two tables have the same slot arrays, capacity and
+    /// bookkeeping.
+    fn assert_same_layout(got: &CountTable, want: &CountTable, what: &str) {
+        assert_eq!(got.capacity(), want.capacity(), "{what}: capacity");
+        assert!(got.keys == want.keys, "{what}: key slots differ");
+        assert!(got.counts == want.counts, "{what}: count slots differ");
+        assert_eq!(
+            (got.mask, got.occupied, got.zero_count, got.total),
+            (want.mask, want.occupied, want.zero_count, want.total),
+            "{what}: bookkeeping"
+        );
+    }
+
+    /// The invariant the finish relies on: an empty slot holds count 0.
+    fn assert_empty_slots_hold_zero(t: &CountTable) {
+        for (i, (&k, &c)) in t.keys.iter().zip(&t.counts).enumerate() {
+            assert!(k != 0 || c == 0, "empty slot {i} holds count {c}");
+        }
+    }
+
+    /// A stream of `(key, count)` adds, its length drawn from `lens`,
+    /// with repeats, an occasional zero key, and counts of one to four.
+    fn key_stream(rng: &mut Rng, lens: std::ops::Range<usize>) -> Vec<(u64, u64)> {
+        (0..usize_in(rng, lens))
+            .map(|_| {
+                let key = match rng.below(16) {
+                    0 => 0,
+                    1..=5 => rng.below(512),
+                    _ => rng.next_u64(),
+                };
+                (key, 1 + rng.below(4))
+            })
+            .collect()
+    }
+
+    /// A distinct hint: mostly small, sometimes at or past the slot
+    /// count from which arrays are reused.
+    fn hint(rng: &mut Rng) -> usize {
+        match rng.below(8) {
+            0 => usize_in(rng, 460_000..900_000),
+            1..=3 => 0,
+            _ => usize_in(rng, 1..3_000),
+        }
+    }
+
+    /// The masked merge lays tables out exactly like the fold of `add`
+    /// calls it replaces, for `merge_from` and `absorb` alike, under
+    /// 1–4-way chunkings and hints on both sides of the reuse threshold;
+    /// and the masked `iter` yields the filtered scan's sequence.
+    #[test]
+    fn masked_merge_and_iter_match_the_per_key_fold() {
+        check("masked_merge_and_iter_match_the_per_key_fold", 48, |rng| {
+            let adds = key_stream(rng, 0..6_000);
+            let ways = usize_in(rng, 1..5);
+            let mut cuts: Vec<usize> = (1..ways)
+                .map(|_| usize_in(rng, 0..adds.len() + 1))
+                .collect();
+            cuts.sort_unstable();
+            let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([adds.len()]).collect();
+            let chunks: Vec<CountTable> = bounds
+                .windows(2)
+                .map(|w| {
+                    let mut t = CountTable::with_capacity(hint(rng));
+                    for &(k, c) in &adds[w[0]..w[1]] {
+                        t.add(k, c);
+                    }
+                    assert_eq!(t.iter().collect::<Vec<_>>(), filtered_scan(&t));
+                    t
+                })
+                .collect();
+
+            let (mut merged, mut merged_by_adds) = (chunks[0].clone(), chunks[0].clone());
+            let mut absorbed = CountTable::with_capacity(hint(rng));
+            let mut absorbed_by_adds = absorbed.clone();
+            for (i, chunk) in chunks.into_iter().enumerate() {
+                if i > 0 {
+                    merged.merge_from(&chunk);
+                    fold_of_adds(&mut merged_by_adds, &chunk);
+                    assert_same_layout(&merged, &merged_by_adds, "merge_from");
+                }
+                absorbed.absorb(chunk.clone());
+                absorb_by_adds(&mut absorbed_by_adds, chunk);
+                assert_same_layout(&absorbed, &absorbed_by_adds, "absorb");
+            }
+            for t in [&merged, &absorbed] {
+                assert_eq!(t.iter().collect::<Vec<_>>(), filtered_scan(t));
+                assert_empty_slots_hold_zero(t);
+            }
+        });
+    }
+
+    /// Every empty slot holds count 0 after any mix of add, grow, absorb,
+    /// clone and spare reuse — the invariant the finish reads by.
+    #[test]
+    fn empty_slots_hold_zero_after_any_mix_of_operations() {
+        check(
+            "empty_slots_hold_zero_after_any_mix_of_operations",
+            32,
+            |rng| {
+                let mut live: Vec<CountTable> = vec![CountTable::new()];
+                for _ in 0..usize_in(rng, 1..40) {
+                    let i = usize_in(rng, 0..live.len());
+                    match rng.below(6) {
+                        // Adds, enough to grow a small table.
+                        0 | 1 => {
+                            for (k, c) in key_stream(rng, 0..600) {
+                                live[i].add(k, c);
+                            }
+                        }
+                        2 if live.len() > 1 => {
+                            let other = live.swap_remove(i);
+                            let j = usize_in(rng, 0..live.len());
+                            live[j].absorb(other);
+                        }
+                        3 => {
+                            let copy = live[i].clone();
+                            live.push(copy);
+                        }
+                        // A drop hands large arrays to the spare list and
+                        // a fresh table of the same hint takes them back.
+                        4 if live.len() > 1 => drop(live.swap_remove(i)),
+                        _ => {
+                            let mut t = CountTable::with_capacity(hint(rng));
+                            for (k, c) in key_stream(rng, 0..50) {
+                                t.add(k, c);
+                            }
+                            live.push(t);
+                        }
+                    }
+                    live.iter().for_each(assert_empty_slots_hold_zero);
+                }
+            },
+        );
     }
 
     #[test]

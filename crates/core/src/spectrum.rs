@@ -222,11 +222,6 @@ impl Spectrum {
     /// sample). Zero counts are ignored, and the result is independent
     /// of input order.
     ///
-    /// Frequencies below 64 — nearly every class of a real sample — are
-    /// tallied in a direct-indexed array; only the rarer larger ones go
-    /// through a [`CountTable`] keyed by the frequency and are sorted
-    /// into the ascending tail.
-    ///
     /// ```
     /// use dve_core::Spectrum;
     /// // Sample [a, a, a, b, b, c] from a 1000-row table.
@@ -240,26 +235,30 @@ impl Spectrum {
         n: u64,
         counts: impl IntoIterator<Item = u64>,
     ) -> Result<Self, SpectrumError> {
-        const DENSE: u64 = 64;
-        let mut dense = [0u64; DENSE as usize];
-        let mut sparse = CountTable::new();
+        let mut tally = Tally::new();
         for c in counts {
-            if c < DENSE {
-                dense[c as usize] += 1;
-            } else {
-                sparse.increment(c);
+            tally.add(0, c);
+        }
+        tally.finish(n)
+    }
+
+    /// The finish: the spectrum of a count table's counts. It reads the
+    /// count slots alone, never the keys, because an empty slot holds
+    /// count 0 and the tally ignores zeros. Table order does not matter.
+    fn from_count_table(n: u64, table: &CountTable) -> Result<Self, SpectrumError> {
+        let (slots, zero_count) = table.count_slots();
+        let mut tally = Tally::new();
+        let mut groups = slots.chunks_exact(LANES);
+        for group in groups.by_ref() {
+            for (lane, &c) in group.iter().enumerate() {
+                tally.add(lane, c);
             }
         }
-        // `dense[0]` holds the ignored zero counts.
-        let mut entries: Vec<(u64, u64)> = (1..DENSE)
-            .zip(&dense[1..])
-            .filter(|&(_, &f)| f > 0)
-            .map(|(i, &f)| (i, f))
-            .collect();
-        let tail = entries.len();
-        entries.extend(sparse.iter());
-        entries[tail..].sort_unstable();
-        Self::from_sparse(n, entries)
+        for &c in groups.remainder() {
+            tally.add(0, c);
+        }
+        tally.add(0, zero_count);
+        tally.finish(n)
     }
 
     /// Builds a spectrum directly from a dense frequency vector
@@ -522,6 +521,61 @@ impl Spectrum {
     }
 }
 
+/// Frequencies below this are tallied in arrays indexed by the
+/// frequency: nearly every class of a real sample.
+const DENSE: usize = 64;
+
+/// Interleaved tally arrays. Consecutive counts go to different arrays,
+/// so a run of equal counts (empty slots, most of all) does not queue
+/// on one memory cell.
+const LANES: usize = 4;
+
+/// Counts of counts, the working form of `f_i`. Frequencies below
+/// [`DENSE`] go to `lanes[lane][frequency]`; the rarer larger ones go
+/// through a [`CountTable`] keyed by the frequency and are sorted into
+/// the ascending tail.
+struct Tally {
+    lanes: [[u64; DENSE]; LANES],
+    large: CountTable,
+}
+
+impl Tally {
+    fn new() -> Self {
+        Self {
+            lanes: [[0; DENSE]; LANES],
+            large: CountTable::new(),
+        }
+    }
+
+    /// Tallies one class of frequency `c`; `c = 0` is ignored.
+    #[inline]
+    fn add(&mut self, lane: usize, c: u64) {
+        if c < DENSE as u64 {
+            self.lanes[lane][c as usize] += 1;
+        } else {
+            self.large.increment(c);
+        }
+    }
+
+    /// The spectrum, its entries allocated once at their exact length.
+    fn finish(self, n: u64) -> Result<Spectrum, SpectrumError> {
+        let mut dense = [0u64; DENSE];
+        for lane in &self.lanes {
+            for (f, &g) in dense.iter_mut().zip(lane) {
+                *f += g;
+            }
+        }
+        // Index 0 holds the ignored zero counts.
+        let dense = (1..DENSE as u64).zip(&dense[1..]).filter(|&(_, &f)| f > 0);
+        let mut entries = Vec::with_capacity(dense.clone().count() + self.large.len());
+        entries.extend(dense.map(|(i, &f)| (i, f)));
+        let tail = entries.len();
+        entries.extend(self.large.iter());
+        entries[tail..].sort_unstable();
+        Spectrum::from_sparse(n, entries)
+    }
+}
+
 /// Incremental, mergeable construction of a [`Spectrum`] from raw
 /// `value → count` observations.
 ///
@@ -613,9 +667,11 @@ impl SpectrumBuilder {
     }
 
     /// Iterates the accumulated `(value_hash, count)` pairs in table
-    /// order (deterministic for a given observation multiset, but not
-    /// sorted) — the raw material for most-common-value lists and
-    /// sketch shadows. Sort before using the order for anything stable.
+    /// order — the raw material for most-common-value lists and sketch
+    /// shadows. The order is unspecified: a linear-probing layout
+    /// depends on insertion order and chunking, not only on the
+    /// observation multiset. Sort before using it for anything stable,
+    /// as `dve_storage::catalog::top_k_mcvs` does.
     pub fn counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.counts.iter()
     }
@@ -646,7 +702,7 @@ impl SpectrumBuilder {
     /// Finishes against an explicit table size `n` (e.g. a
     /// null-adjusted effective row count), ignoring accumulated rows.
     pub fn finish_with_table_rows(&self, n: u64) -> Result<Spectrum, SpectrumError> {
-        Spectrum::from_sample_counts(n, self.counts.counts())
+        Spectrum::from_count_table(n, &self.counts)
     }
 }
 
@@ -749,6 +805,81 @@ mod tests {
                 sample_rows: u64::MAX,
                 table_rows: 100,
             })
+        );
+    }
+
+    /// The finish reads the count slots and the zero key's count alone.
+    /// Builders that observed hash 0, whose counts are long runs of 1s or
+    /// of 63s, or that hold counts of 64 and above, must finish to the
+    /// spectrum of a `BTreeMap` tally of the same observations.
+    #[test]
+    fn builder_finish_matches_a_btreemap_on_edge_counts() {
+        use dve_numeric::check::{check, u64_in, usize_in};
+        use dve_numeric::rng::Rng;
+        use std::collections::BTreeMap;
+
+        /// A count of one run shape.
+        fn count(rng: &mut Rng, shape: u64) -> u64 {
+            match shape {
+                0 => 1,
+                1 => 63,
+                2 => u64_in(rng, 64..70),
+                3 => u64_in(rng, 64..1 << 40),
+                _ => u64_in(rng, 1..128),
+            }
+        }
+
+        check(
+            "builder_finish_matches_a_btreemap_on_edge_counts",
+            128,
+            |rng| {
+                let mut builder = SpectrumBuilder::with_capacity(usize_in(rng, 0..2_000));
+                let mut by_key: BTreeMap<u64, u64> = BTreeMap::new();
+                for _ in 0..usize_in(rng, 1..6) {
+                    let shape = rng.below(5);
+                    for _ in 0..usize_in(rng, 0..3_000) {
+                        let key = match rng.below(64) {
+                            0 => 0,
+                            _ => rng.next_u64(),
+                        };
+                        let c = count(rng, shape);
+                        builder.observe_count(key, c);
+                        *by_key.entry(key).or_insert(0) += c;
+                    }
+                }
+                let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+                for &c in by_key.values() {
+                    *reference.entry(c).or_insert(0) += 1;
+                }
+                let n = u64::MAX;
+                assert_eq!(
+                    builder.finish_with_table_rows(n),
+                    Spectrum::from_parts(n, reference.into_iter().collect())
+                );
+            },
+        );
+
+        // Hash 0 alone, and hash 0 beside a run of 63s: the out-of-band
+        // count goes into the tally like any other.
+        let mut b = SpectrumBuilder::new();
+        b.observe_count(0, 64);
+        assert_eq!(
+            b.finish_with_table_rows(100)
+                .unwrap()
+                .spectrum()
+                .collect::<Vec<_>>(),
+            vec![(64, 1)]
+        );
+        for key in 1..=1_000 {
+            b.observe_count(key, 63);
+        }
+        b.observe(0);
+        assert_eq!(
+            b.finish_with_table_rows(u64::MAX)
+                .unwrap()
+                .spectrum()
+                .collect::<Vec<_>>(),
+            vec![(63, 1_000), (65, 1)]
         );
     }
 

@@ -5,7 +5,6 @@
 //! offers the one-call [`sample_profile`] used throughout the experiment
 //! harness.
 
-use dve_core::counter::CountTable;
 use dve_core::design::SampleDesign;
 use dve_core::profile::{FrequencyProfile, ProfileError};
 use dve_core::spectrum::SpectrumBuilder;
@@ -128,11 +127,11 @@ pub fn profile_of_values(n: u64, values: &[u64]) -> Result<FrequencyProfile, Pro
     // Start modest and let the table grow geometrically — most samples
     // have far fewer distinct values than rows, so sizing for the worst
     // case would waste the cache the open-addressing layout buys.
-    let mut counts = CountTable::with_capacity(values.len().min(4_096));
+    let mut builder = SpectrumBuilder::with_capacity(values.len().min(4_096));
     for &v in values {
-        counts.increment(v);
+        builder.observe(v);
     }
-    FrequencyProfile::from_sample_counts(n, counts.counts())
+    builder.finish_with_table_rows(n)
 }
 
 /// Rows counted serially before the parallel fan-out — the first-chunk
@@ -270,6 +269,30 @@ mod tests {
         assert_eq!(p.f(2), 1); // value 1
         assert_eq!(p.f(3), 1); // value 3
         assert_eq!(p.distinct_in_sample(), 3);
+    }
+
+    #[test]
+    fn profile_of_values_agrees_with_the_builder() {
+        // Value 0, classes seen once, 63 and 64 times, and one seen
+        // 5 000 times: both sides of the finish's dense range.
+        let mut values: Vec<u64> = (0..3_000u64).collect();
+        for (value, copies) in [(0u64, 70), (1, 62), (2, 63), (3, 4_999)] {
+            values.extend(std::iter::repeat_n(value, copies));
+        }
+        values.extend((10..20u64).flat_map(|v| std::iter::repeat_n(v, 63)));
+        let mut r = rng(6);
+        for i in (1..values.len()).rev() {
+            values.swap(i, r.below(i as u64 + 1) as usize);
+        }
+        let mut builder = SpectrumBuilder::new();
+        for &v in &values {
+            builder.observe(v);
+        }
+        let profile = profile_of_values(1 << 20, &values).unwrap();
+        assert_eq!(profile, builder.finish_with_table_rows(1 << 20).unwrap());
+        let spectrum: Vec<_> = profile.spectrum().collect();
+        assert_eq!(spectrum[..2], [(1, 2_986), (63, 1)]);
+        assert_eq!(spectrum[2..], [(64, 11), (71, 1), (5_000, 1)]);
     }
 
     #[test]

@@ -199,6 +199,63 @@ fn rebuilding_a_large_spectrum_builder_reuses_its_slot_arrays() {
     );
 }
 
+/// Two builders pre-sized for the same distinct hint, with overlapping
+/// keys whose union fills the hint exactly.
+fn overlapping_presized_builders() -> [distinct_values::core::spectrum::SpectrumBuilder; 2] {
+    use distinct_values::core::hash::mix64;
+    use distinct_values::core::spectrum::SpectrumBuilder;
+
+    const DISTINCT: u64 = 4_096;
+    let fill = |keys: std::ops::Range<u64>| {
+        let mut b = SpectrumBuilder::with_capacity(DISTINCT as usize);
+        for k in keys {
+            b.observe_count(mix64(k), 1 + k % 5);
+        }
+        b
+    };
+    [fill(0..2_500), fill(1_000..DISTINCT)]
+}
+
+#[test]
+fn absorbing_and_iterating_a_presized_builder_is_allocation_free() {
+    // The split-count-merge fold: absorbing a chunk builder of the same
+    // capacity probes the accumulator in place, and iterating the counts
+    // reads the slots where they lie. Neither may touch the heap.
+    let [mut acc, other] = overlapping_presized_builders();
+    let count = allocations_in(|| acc.absorb(other));
+    assert_eq!(
+        count, 0,
+        "absorbing a pre-sized builder allocated {count} times"
+    );
+    assert_eq!(acc.distinct_observed(), 4_096);
+
+    let mut rows = 0;
+    let count = allocations_in(|| rows = acc.counts().map(|(_, c)| c).sum::<u64>());
+    assert_eq!(count, 0, "iterating the counts allocated {count} times");
+    assert_eq!(rows, acc.sampled_rows());
+}
+
+#[test]
+fn the_finish_allocates_only_the_spectrum_entries() {
+    // The finish tallies frequencies below 64 in fixed arrays and sizes
+    // the spectrum's entries once, so a builder whose counts are all
+    // below 64 finishes with exactly one allocation.
+    let [mut acc, other] = overlapping_presized_builders();
+    acc.absorb(other);
+    let mut spectrum = None;
+    let count = allocations_in(|| spectrum = acc.finish_with_table_rows(1 << 20).ok());
+    assert_eq!(count, 1, "the finish allocated {count} times");
+    assert_eq!(spectrum.as_ref().map(|s| s.max_frequency()), Some(10));
+
+    // Frequencies of 64 and above go through a 16-slot table of their
+    // own: its two arrays, then the entries.
+    acc.observe_count(1, 64);
+    acc.observe_count(2, 1_000);
+    let count = allocations_in(|| spectrum = acc.finish_with_table_rows(1 << 20).ok());
+    assert_eq!(count, 3, "the finish allocated {count} times");
+    assert_eq!(spectrum.map(|s| s.max_frequency()), Some(1_000));
+}
+
 #[test]
 fn probe_actually_counts() {
     // Guard against the probe silently going dead (e.g. a future
