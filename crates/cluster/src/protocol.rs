@@ -43,6 +43,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"DVEC");
 /// length-prefix of e.g. `0xFFFF_FFFF` before allocating for it.
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 
+/// Largest reservation a length prefix may trigger before the frame's
+/// bytes arrive.
+const FRAME_PREALLOC_BYTES: usize = 64 << 10;
+
 /// Typed error codes carried by [`Message::Error`] frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireErrorCode {
@@ -308,8 +312,14 @@ pub fn read_message(r: &mut impl Read) -> Result<Message, ProtoError> {
     if len == 0 {
         return Err(ProtoError::Malformed("zero-length frame"));
     }
-    let mut frame = vec![0u8; len as usize];
-    r.read_exact(&mut frame)?;
+    // The buffer grows with the bytes that actually arrive, so a corrupt
+    // length prefix fails as a short read instead of reserving up to
+    // `MAX_FRAME_BYTES` up front.
+    let mut frame = Vec::with_capacity((len as usize).min(FRAME_PREALLOC_BYTES));
+    r.take(u64::from(len)).read_to_end(&mut frame)?;
+    if frame.len() != len as usize {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+    }
     let (type_byte, payload) = (frame[0], &frame[1..]);
     let mut rd = Reader {
         buf: payload,

@@ -13,9 +13,6 @@
 //! * [`audit`] — the accuracy-audit sweep behind `dve audit`: shadow
 //!   ground truth, per-cell ratio-error / coverage aggregation, and the
 //!   baseline regression gate (`BENCH_accuracy.json`);
-//! * [`perf`] — the wall-time benchmark behind `dve bench`: serial vs
-//!   parallel timings for the audit sweep and ANALYZE, with a
-//!   determinism check and the `BENCH_perf.json` regression gate;
 //! * [`minijson`] — the dependency-free JSON reader the gates parse
 //!   baselines with (re-exported from `dve-obs`, where the serve API
 //!   shares it).
@@ -33,7 +30,6 @@
 pub mod audit;
 pub mod config;
 pub mod figures;
-pub mod perf;
 pub mod report;
 pub mod runner;
 

@@ -1,8 +1,6 @@
 //! RAII timing: [`Timer`] records a duration into a [`Histogram`] on
-//! drop; [`Span`] additionally emits a debug event; [`time`] wraps a
-//! closure.
+//! drop; [`time`] wraps a closure.
 
-use crate::event::{Event, Level};
 use crate::metrics::Histogram;
 use std::time::Instant;
 
@@ -62,61 +60,9 @@ pub fn time<T>(hist: &Histogram, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// A named scope: on drop it emits a `Level::Debug` event with the
-/// elapsed time and, when constructed with [`Span::with_histogram`],
-/// records the duration too.
-#[derive(Debug)]
-pub struct Span {
-    name: &'static str,
-    hist: Option<std::sync::Arc<Histogram>>,
-    start: Instant,
-}
-
-impl Span {
-    /// A span that only emits the closing event.
-    pub fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            hist: None,
-            start: Instant::now(),
-        }
-    }
-
-    /// A span that also records its duration into `hist`.
-    pub fn with_histogram(name: &'static str, hist: std::sync::Arc<Histogram>) -> Self {
-        Self {
-            name,
-            hist: Some(hist),
-            start: Instant::now(),
-        }
-    }
-
-    /// Time elapsed since the span opened.
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.start.elapsed()
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let elapsed = self.start.elapsed();
-        if let Some(h) = &self.hist {
-            h.record_duration(elapsed);
-        }
-        Event::new(Level::Debug, self.name)
-            .field_u64(
-                "elapsed_ns",
-                u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-            )
-            .emit();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{set_sink, VecSink};
-    use std::sync::Arc;
 
     #[test]
     fn timer_records_on_drop() {
@@ -147,23 +93,5 @@ mod tests {
         let v = time(&h, || 21 * 2);
         assert_eq!(v, 42);
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn span_records_and_emits() {
-        let _guard = crate::test_lock();
-        let sink = Arc::new(VecSink::new());
-        set_sink(sink.clone());
-        let h = Arc::new(Histogram::new());
-        drop(Span::with_histogram("obs.test.span", Arc::clone(&h)));
-        assert_eq!(h.count(), 1);
-        let events = sink.events();
-        let e = events
-            .iter()
-            .find(|e| e.name == "obs.test.span")
-            .expect("span event emitted");
-        assert_eq!(e.level, Level::Debug);
-        assert!(e.fields.iter().any(|(k, _)| k == "elapsed_ns"));
-        set_sink(Arc::new(crate::event::NullSink));
     }
 }

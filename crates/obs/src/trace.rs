@@ -38,12 +38,13 @@
 //!
 //! Tracing is **off** by default. Disabled, [`span`]/[`root_span`]
 //! degenerate to one relaxed atomic load and a branch, and perform zero
-//! heap allocations (pinned by the counting-allocator test in
-//! `dve-bench`). Enabled, each finished span costs one `VecDeque` push
-//! behind one of [`SHARDS`] mutexes; the buffers are bounded
-//! ([`SHARD_CAP`] spans per shard, drop-oldest), so a long-running
-//! daemon's memory stays flat and [`dropped_spans`] makes the loss
-//! observable.
+//! heap allocations (pinned by the counting-allocator test
+//! `tracing_off_is_allocation_free_on_the_span_path` in
+//! `tests/alloc_free.rs`). Enabled, each finished span costs one
+//! `VecDeque` push behind one of [`SHARDS`] mutexes; the buffers are
+//! bounded ([`SHARD_CAP`] spans per shard, drop-oldest), so a
+//! long-running daemon's memory stays flat and [`dropped_spans`] makes
+//! the loss observable.
 
 use std::cell::Cell;
 use std::collections::VecDeque;

@@ -230,7 +230,7 @@ pub fn write_table<W: Write>(table: &Table, out: &mut W) -> Result<(), PersistEr
 /// actually arrive, so a corrupt length fails as a short read instead of
 /// an up-front allocation of whatever the header claims.
 fn read_exact_vec<R: Read>(r: &mut R, len: usize) -> Result<Vec<u8>, PersistError> {
-    let mut buf = Vec::with_capacity(len.min(PREALLOC_CAP));
+    let mut buf = vec_for(len);
     r.take(len as u64).read_to_end(&mut buf)?;
     if buf.len() != len {
         return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
@@ -238,8 +238,16 @@ fn read_exact_vec<R: Read>(r: &mut R, len: usize) -> Result<Vec<u8>, PersistErro
     Ok(buf)
 }
 
-/// Largest up-front reservation a header-declared count may trigger.
-const PREALLOC_CAP: usize = 1 << 16;
+/// Largest up-front reservation, in bytes, a header-declared count may
+/// trigger.
+const PREALLOC_BYTES: usize = 1 << 16;
+
+/// An empty vector with room for `count` elements, or for as many as
+/// fit in [`PREALLOC_BYTES`] when the header declares more: past that
+/// it grows with the entries that actually decode.
+fn vec_for<T>(count: usize) -> Vec<T> {
+    Vec::with_capacity(count.min(PREALLOC_BYTES / std::mem::size_of::<T>().max(1)))
+}
 
 fn read_u32<R: Read>(r: &mut R) -> Result<u32, PersistError> {
     let mut b = [0u8; 4];
@@ -268,7 +276,7 @@ pub fn read_table<R: Read>(input: &mut R) -> Result<Table, PersistError> {
     if ncols > 1 << 20 {
         return Err(PersistError::Corrupt(format!("{ncols} columns")));
     }
-    let mut fields = Vec::with_capacity(ncols.min(PREALLOC_CAP));
+    let mut fields = vec_for(ncols);
     for _ in 0..ncols {
         let name_len = read_u32(input)? as usize;
         if name_len > 1 << 20 {
@@ -296,7 +304,7 @@ pub fn read_table<R: Read>(input: &mut R) -> Result<Table, PersistError> {
         return Err(PersistError::Corrupt(format!("{rows} rows")));
     }
 
-    let mut columns = Vec::with_capacity(ncols.min(PREALLOC_CAP));
+    let mut columns = vec_for(ncols);
     for field in &fields {
         let mut null_flag = [0u8; 1];
         input.read_exact(&mut null_flag)?;
@@ -361,7 +369,7 @@ pub fn read_table<R: Read>(input: &mut R) -> Result<Table, PersistError> {
                 if dict_len > rows.max(1) {
                     return Err(PersistError::Corrupt("dictionary larger than rows".into()));
                 }
-                let mut dict = Vec::with_capacity(dict_len.min(PREALLOC_CAP));
+                let mut dict = vec_for(dict_len);
                 for _ in 0..dict_len {
                     let len_bytes = read_exact_vec(input, 4)?;
                     sum.update(&len_bytes);

@@ -28,18 +28,11 @@ for seed in 1 7919; do
     done
 done
 
-# Parallel determinism + wall-time gate: time the audit sweep, ANALYZE,
-# spectrum ingest, and the mixed-encoding ingest/analyze scenarios at
-# jobs=1 vs jobs=N (prints the comparison table, including the
-# ingest_rows_per_sec throughput gauge), verify the parallel results
-# are bit-identical to serial, and compare wall times against the
-# committed baseline. The speedup assertion arms only on hosts with
-# >= 4 cores; determinism is gated everywhere.
-./target/release/dve bench --quick --check BENCH_perf.json
-
-# Belt and braces for the determinism contract the bench relies on:
-# the same audit grid at --jobs 1 and --jobs 4 must serialize
-# byte-identically once wall times are zeroed.
+# Belt and braces for the determinism contract that the tier-1 test
+# `parallel_determinism::audit_json_is_byte_identical_across_jobs` pins
+# in-process, here through the release binary: the same audit grid at
+# --jobs 1 and --jobs 4 must serialize byte-identically once wall times
+# are zeroed.
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 ./target/release/dve audit --grid quick --deterministic --jobs 1 --out "$tmpdir/j1.json"

@@ -11,8 +11,7 @@
 //!     tells design-aware estimators so, --design wr forces the paper's
 //!     with-replacement model. --trace writes a Chrome trace-event
 //!     profile of the run (Perfetto / chrome://tracing); `dve analyze`
-//!     takes the same flag, and `dve bench --profile` profiles the
-//!     whole benchmark.
+//!     takes the same flag.
 //!
 //! dve serve [--addr 127.0.0.1:7171] [--queue 64] [--max-body BYTES]
 //!           [--read-timeout-ms 5000] [--handle-timeout-ms 10000]
@@ -102,17 +101,6 @@
 //!     --deterministic, wall-time fields are zeroed so two runs of the
 //!     same config (at any --jobs) write byte-identical files.
 //!
-//! dve bench [--quick|--full] [--out PATH] [--check BASELINE.json]
-//!           [--latency-factor 25] [--min-speedup 1.5]
-//!     Wall-time benchmark of the parallel execution layer: times the
-//!     audit sweep, ANALYZE, chunked spectrum construction,
-//!     windowed-histogram ingest, mixed-encoding table ingest (reported
-//!     as rows/second), and a larger mixed-encoding ANALYZE at
-//!     jobs=1 vs jobs=N, verifies the
-//!     parallel results are bit-identical to serial, and writes
-//!     BENCH_perf.json (or, with --check, gates against the committed
-//!     baseline and exits non-zero on a regression).
-//!
 //! dve estimators
 //!     List every estimator the registry knows.
 //! ```
@@ -159,7 +147,6 @@ fn main() {
     match cmd.as_str() {
         "estimate" => cmd_estimate(&args[1..]),
         "audit" => cmd_audit(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
         "exact" => cmd_exact(&args[1..]),
         "sketch" => cmd_sketch(&args[1..]),
         "generate" => cmd_generate(&args[1..]),
@@ -306,10 +293,10 @@ fn flag_parse<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str,
     }
 }
 
-/// Arms the tracer when `--trace FILE` (or `--profile FILE`) was given;
-/// returns the output path so [`write_trace_file`] can finish the job.
-fn arm_tracer(flags: &HashMap<String, String>, flag: &str) -> Option<String> {
-    let path = flags.get(flag)?.clone();
+/// Arms the tracer when `--trace FILE` was given; returns the output
+/// path so [`write_trace_file`] can finish the job.
+fn arm_tracer(flags: &HashMap<String, String>) -> Option<String> {
+    let path = flags.get("trace")?.clone();
     trace::set_tracing(true);
     Some(path)
 }
@@ -366,7 +353,7 @@ fn cmd_estimate(args: &[String]) {
         other => fail(2, format!("invalid --design {other} (wr|wor)")),
     };
 
-    let trace_out = arm_tracer(&flags, "trace");
+    let trace_out = arm_tracer(&flags);
 
     let lines = read_lines(&positional);
     // The hash → sample → profile → estimate chain is shared with
@@ -744,99 +731,6 @@ fn cmd_audit(args: &[String]) {
     }
 }
 
-fn cmd_bench(args: &[String]) {
-    use distinct_values::experiments::perf::{
-        check_against, run_bench, PerfConfig, PerfReport, PerfTolerance,
-    };
-    let mut args = args.to_vec();
-    let quick = extract_bool_flag(&mut args, "quick");
-    let full = extract_bool_flag(&mut args, "full");
-    if quick && full {
-        fail(2, "--quick and --full are mutually exclusive".to_string());
-    }
-    let (flags, positional) = parse_flags(&args);
-    if let Some(extra) = positional.first() {
-        fail(2, format!("bench takes no positional arguments: {extra}"));
-    }
-    // --quick is the default: it is what the committed baseline and the
-    // CI gate run.
-    let config = if full {
-        PerfConfig::full()
-    } else {
-        PerfConfig::quick()
-    };
-
-    // --profile wraps the whole bench in a root span so the per-chunk /
-    // per-cell spans the parallel paths emit land in one causal trace.
-    let profile_out = arm_tracer(&flags, "profile");
-    let (report, root_ctx) = {
-        let root = trace::root_span("cli.bench");
-        let ctx = root.context();
-        (run_bench(&config), ctx)
-    };
-    if let Some(path) = profile_out {
-        write_trace_file(&path, root_ctx);
-    }
-    eprint!("{}", report.to_table());
-
-    match flags.get("check") {
-        Some(baseline_path) => {
-            let tol = PerfTolerance {
-                latency_factor: flag_parse(
-                    &flags,
-                    "latency-factor",
-                    PerfTolerance::default().latency_factor,
-                ),
-                min_speedup: flag_parse(
-                    &flags,
-                    "min-speedup",
-                    PerfTolerance::default().min_speedup,
-                ),
-            };
-            let text = std::fs::read_to_string(baseline_path)
-                .unwrap_or_else(|e| fail(1, format!("cannot read {baseline_path}: {e}")));
-            let baseline = PerfReport::from_json(&text)
-                .unwrap_or_else(|e| fail(1, format!("cannot parse {baseline_path}: {e}")));
-            let violations = check_against(&report, &baseline, tol);
-            if violations.is_empty() {
-                println!(
-                    "bench check passed: {} scenarios deterministic and within tolerance",
-                    baseline.scenarios.len()
-                );
-            } else {
-                for v in &violations {
-                    println!("REGRESSION: {v}");
-                }
-                Event::error("cli.bench.regression")
-                    .message(format!(
-                        "{} of {} bench scenarios regressed",
-                        violations.len(),
-                        baseline.scenarios.len()
-                    ))
-                    .field_u64("violations", violations.len() as u64)
-                    .emit();
-                std::process::exit(1);
-            }
-        }
-        None => {
-            let out: String = flag_parse(&flags, "out", "BENCH_perf.json".to_string());
-            if out == "-" {
-                print!("{}", report.to_json());
-            } else {
-                std::fs::write(&out, report.to_json())
-                    .unwrap_or_else(|e| fail(1, format!("cannot write {out}: {e}")));
-                Event::info("cli.bench.done")
-                    .message(format!(
-                        "wrote {} bench scenarios to {out}",
-                        report.scenarios.len()
-                    ))
-                    .field_u64("scenarios", report.scenarios.len() as u64)
-                    .emit();
-            }
-        }
-    }
-}
-
 fn cmd_trace_check(args: &[String]) {
     let (flags, positional) = parse_flags(args);
     let Some(path) = positional.first() else {
@@ -1072,7 +966,7 @@ fn cmd_analyze(args: &[String]) {
             .unwrap_or("table")
             .to_string(),
     );
-    let trace_out = arm_tracer(&flags, "trace");
+    let trace_out = arm_tracer(&flags);
     let table = distinct_values::storage::persist::load_table(std::path::Path::new(path))
         .unwrap_or_else(|e| fail(1, format!("cannot load {path}: {e}")));
     let options = distinct_values::storage::AnalyzeOptions {
@@ -1262,8 +1156,6 @@ fn usage_and_exit(code: i32) -> ! {
          dve audit [--grid full|quick] [--trials N] [--seed S] [--out PATH]\n            \
          [--check BASELINE.json] [--tolerance T] [--coverage-tolerance C]\n            \
          [--latency-factor L] [--deterministic]\n  \
-         dve bench [--quick|--full] [--out PATH] [--check BASELINE.json]\n            \
-         [--latency-factor L] [--min-speedup S] [--profile TRACE.json]\n  \
          dve trace-check TRACE.json|- [--min-spans N] [--min-threads N] [--min-linked N]\n  \
          dve estimators\n\n\
          global: --jobs N                     worker threads (results identical for every N)\n        \

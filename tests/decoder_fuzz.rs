@@ -5,7 +5,15 @@
 //! damages one of them: truncation at a random offset, one flipped bit,
 //! or a length field inflated to a huge value. The decoder must answer
 //! `Ok` or a typed `Err`; a panic fails the property with its seed.
+//!
+//! A corrupt header must not make a decoder reserve what the header
+//! claims either. A counting [`GlobalAlloc`] records the largest single
+//! allocation request each decode makes on its thread, and every case
+//! asserts it stays within [`allocation_bound`], which is linear in the
+//! length of the damaged input.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::time::Duration;
@@ -18,9 +26,78 @@ use distinct_values::obs::minijson;
 use distinct_values::serve::http::read_request;
 use distinct_values::storage::catalog::build_table_stats;
 use distinct_values::storage::persist::{
-    load_table_stats, read_table, save_table_stats, stats_path_for, write_table,
+    load_table_stats, read_table, save_table_stats, stats_path_for, write_table, MAGIC, VERSION,
 };
 use distinct_values::storage::{AnalyzeOptions, Column, DataType, Field, Schema, Table};
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Notes the size of every allocation request on the current thread.
+struct LargestAlloc;
+
+fn note(size: usize) {
+    // Thread-locals can themselves allocate during TLS teardown;
+    // `try_with` makes the probe inert in that window.
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
+}
+
+// SAFETY: every method passes its caller's arguments unchanged to the
+// same `System` method, so the caller's `GlobalAlloc` guarantees are
+// exactly what each `unsafe` call below requires; the bookkeeping only
+// touches a thread-local cell and never allocates.
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: LargestAlloc = LargestAlloc;
+
+/// The largest single allocation a decoder may request for an input of
+/// `input_len` bytes: 16 bytes per input byte, plus 64 KiB.
+///
+/// The slope covers a decoder building its value from the input: a
+/// packed bit becomes a one-byte `bool`, a 4-byte dictionary code a
+/// 16-byte `&str`, and a container doubling past its length adds 2×.
+/// The intercept is one working buffer, which is also the most any
+/// decoder reserves up front from a header-declared length before the
+/// bytes behind it have arrived.
+fn allocation_bound(input_len: usize) -> usize {
+    16 * input_len + (64 << 10)
+}
+
+/// Runs `decode` and asserts that no single allocation it made on this
+/// thread exceeded [`allocation_bound`] for an `input_len`-byte input.
+fn within_allocation_bound<T>(input_len: usize, decode: impl FnOnce() -> T) -> T {
+    let outer = LARGEST.with(|c| c.replace(0));
+    let out = decode();
+    let largest = LARGEST.with(|c| c.replace(outer.max(c.get())));
+    let bound = allocation_bound(input_len);
+    assert!(
+        largest <= bound,
+        "a {input_len}-byte input made the decoder request {largest} bytes at once \
+         (bound {bound})"
+    );
+    out
+}
 
 /// Huge values a corrupted length field might carry.
 const HUGE: [u64; 4] = [u32::MAX as u64, 1 << 31, u64::MAX, 1 << 40];
@@ -123,8 +200,43 @@ fn dvec_frames_decode_or_fail_typed() {
     check("dvec_frames_decode_or_fail_typed", 256, |rng| {
         let frame = frames[rng.below(frames.len() as u64) as usize].clone();
         let bytes = mutate(rng, frame, false);
-        let _ = read_message(&mut bytes.as_slice());
+        let _ = within_allocation_bound(bytes.len(), || read_message(&mut bytes.as_slice()));
     });
+}
+
+/// Cases the allocation bound found, each a length the decoder accepted
+/// as plausible and reserved before the bytes behind it arrived: an
+/// 11-byte DVEC frame whose prefix declares 1 MiB (under the 64 MiB
+/// frame cap) made `read_message` zero-fill 1 MiB; a DVET header
+/// declaring 2^19 columns made `read_table` reserve 2 MiB of fields;
+/// one declaring a 2^20-entry dictionary reserved 1.5 MiB of strings.
+#[test]
+fn plausible_declared_lengths_reserve_within_the_bound() {
+    let mut frame = (1u32 << 20).to_le_bytes().to_vec();
+    frame.extend_from_slice(&[0x05; 7]);
+    let decoded = within_allocation_bound(frame.len(), || read_message(&mut frame.as_slice()));
+    assert!(decoded.is_err(), "a truncated frame decoded");
+
+    let header = |ncols: u32| {
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&ncols.to_le_bytes());
+        buf
+    };
+    let wide = header(1 << 19);
+    let decoded = within_allocation_bound(wide.len(), || read_table(&mut wide.as_slice()));
+    assert!(decoded.is_err(), "a truncated table decoded");
+
+    // One `Str` column "k" (type tag 2, not nullable) of 2^20 rows, no
+    // null bitmap, and a 2^20-entry dictionary that never arrives.
+    let mut dict = header(1);
+    dict.extend_from_slice(&1u32.to_le_bytes());
+    dict.extend_from_slice(&[b'k', 2, 0]);
+    dict.extend_from_slice(&(1u64 << 20).to_le_bytes());
+    dict.push(0);
+    dict.extend_from_slice(&(1u32 << 20).to_le_bytes());
+    let decoded = within_allocation_bound(dict.len(), || read_table(&mut dict.as_slice()));
+    assert!(decoded.is_err(), "a truncated dictionary decoded");
 }
 
 #[test]
@@ -133,7 +245,7 @@ fn dvet_tables_decode_or_fail_typed() {
     write_table(&sample_table(), &mut valid).unwrap();
     check("dvet_tables_decode_or_fail_typed", 256, |rng| {
         let bytes = mutate(rng, valid.clone(), false);
-        let _ = read_table(&mut bytes.as_slice());
+        let _ = within_allocation_bound(bytes.len(), || read_table(&mut bytes.as_slice()));
     });
 }
 
@@ -169,8 +281,8 @@ fn stats_sidecars_decode_or_fail_typed() {
             env.extend_from_slice(b"}\n");
             env
         };
-        std::fs::write(&sidecar, bytes).unwrap();
-        let _ = load_table_stats(&table_path);
+        std::fs::write(&sidecar, &bytes).unwrap();
+        let _ = within_allocation_bound(bytes.len(), || load_table_stats(&table_path));
     });
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -190,7 +302,9 @@ fn http_requests_decode_or_fail_typed() {
         client.write_all(&bytes).unwrap();
         client.shutdown(Shutdown::Write).unwrap();
         let (mut server, _) = listener.accept().unwrap();
-        let _ = read_request(&mut server, 1 << 20, Duration::from_secs(5));
+        let _ = within_allocation_bound(bytes.len(), || {
+            read_request(&mut server, 1 << 20, Duration::from_secs(5))
+        });
     });
 }
 
@@ -209,6 +323,7 @@ fn minijson_documents_parse_or_fail_typed() {
     check("minijson_documents_parse_or_fail_typed", 256, |rng| {
         let doc = docs[rng.below(docs.len() as u64) as usize].clone();
         let bytes = mutate(rng, doc.into_bytes(), true);
-        let _ = minijson::parse(&String::from_utf8_lossy(&bytes));
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = within_allocation_bound(bytes.len(), || minijson::parse(&text));
     });
 }

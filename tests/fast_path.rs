@@ -64,13 +64,22 @@ fn scrambled_rows(rows: usize, stride: usize) -> Vec<u64> {
 /// table are bit-identical at any job count — fast paths, per-chunk
 /// builders, and the `absorb` merge cannot perturb a single bit of any
 /// estimate or interval.
+///
+/// The sample must be large enough that the parallel runs really split
+/// rows. ANALYZE makes `ceil(jobs / 5)` row chunks per column here,
+/// each at least 4 096 rows, out of `r = 0.5 · 30 000 = 15 000` sampled
+/// rows: jobs 2 and 4 give one chunk per column, jobs 7 gives 2 chunks
+/// of 7 500, and jobs 16 gives 4 chunks of at most 4 096.
 #[test]
 fn analyze_on_mixed_encodings_is_bit_identical_across_jobs() {
     let table = mixed_table(30_000);
-    let options = AnalyzeOptions::default();
+    let options = AnalyzeOptions {
+        sampling_fraction: 0.5,
+        ..AnalyzeOptions::default()
+    };
     let mut rng = Rng::seed_from_u64(17);
     let serial = analyze_table_jobs(&table, &options, 1, &mut rng).unwrap();
-    for jobs in [2, 4, 7] {
+    for jobs in [2, 4, 7, 16] {
         let mut rng = Rng::seed_from_u64(17);
         let parallel = analyze_table_jobs(&table, &options, jobs, &mut rng).unwrap();
         assert_eq!(serial, parallel, "ANALYZE diverged at jobs={jobs}");

@@ -31,11 +31,19 @@ fn audit_json_is_byte_identical_across_jobs() {
 /// ANALYZE shares one row sample across columns; chunked per-column
 /// counting must reproduce the serial statistics exactly, including
 /// every floating-point field of the GEE intervals.
+///
+/// On this one-column table ANALYZE makes `jobs` row chunks of at least
+/// 4 096 rows each out of `r = 0.5 · 40 000 = 20 000` sampled rows, so
+/// every parallel run below splits rows: 2 chunks at jobs 2, 4 at
+/// jobs 4 and 5 at jobs 7.
 #[test]
 fn analyze_statistics_are_identical_across_jobs() {
     let values: Vec<u64> = (0..40_000u64).map(|i| (i * i) % 1_777).collect();
     let table = Table::from_generated("sq_mod", &values);
-    let options = AnalyzeOptions::default();
+    let options = AnalyzeOptions {
+        sampling_fraction: 0.5,
+        ..AnalyzeOptions::default()
+    };
     let mut rng = Rng::seed_from_u64(9);
     let serial = analyze_table_jobs(&table, &options, 1, &mut rng).unwrap();
     for jobs in [2, 4, 7] {
