@@ -256,6 +256,29 @@ fn the_finish_allocates_only_the_spectrum_entries() {
     assert_eq!(spectrum.map(|s| s.max_frequency()), Some(1_000));
 }
 
+/// `Estimation::to_json` runs once per `/v1/estimate` response: it sizes
+/// its buffer up front, so a typical estimation costs exactly the one
+/// allocation of the returned `String`.
+#[test]
+fn estimation_json_allocates_only_its_string() {
+    use distinct_values::core::estimator::Estimation;
+
+    let estimation = Estimation {
+        estimate: 137.3131902888949,
+        interval: Some((70.0, 4030.0)),
+        estimator: "HYBSKEW".to_string(),
+        d: 70,
+        r: 100,
+        n: 10_000,
+    };
+    let count = allocations_in(|| {
+        for _ in 0..1000 {
+            std::hint::black_box(estimation.to_json());
+        }
+    });
+    assert_eq!(count, 1000, "1000 encodings allocated {count} times");
+}
+
 #[test]
 fn probe_actually_counts() {
     // Guard against the probe silently going dead (e.g. a future
