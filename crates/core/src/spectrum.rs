@@ -204,14 +204,15 @@ impl Spectrum {
     /// [`Spectrum::merge`]; designs fold per [`SampleDesign::merged`]
     /// (all-WOR shards yield `wor(Σ nᵢ)`, any WR shard falls back to the
     /// paper's with-replacement model). Returns `None` for an empty
-    /// shard list.
+    /// shard list, and when the shards hold more than `u64::MAX` rows
+    /// together.
     pub fn merge_designed(
         shards: impl IntoIterator<Item = (Spectrum, SampleDesign)>,
     ) -> Option<(Spectrum, SampleDesign)> {
         let mut iter = shards.into_iter();
         let (mut spectrum, mut design) = iter.next()?;
         for (s, d) in iter {
-            spectrum = spectrum.merge(&s);
+            spectrum = spectrum.merge(&s)?;
             design = design.merge(d);
         }
         Some((spectrum, design))
@@ -273,57 +274,6 @@ impl Spectrum {
         Self::from_sparse(n, entries)
     }
 
-    /// Merges per-chunk `value → count` maps into one, summing counts
-    /// per value. The result is order-independent (count addition
-    /// commutes), so any partition of a sample into chunks — and any
-    /// merge order — yields the same map, and therefore the same
-    /// spectrum. This is the merge phase of split-count-merge profiling:
-    /// parallel workers count disjoint chunks of a sample, the
-    /// coordinator merges.
-    ///
-    /// ```
-    /// use dve_core::Spectrum;
-    /// use std::collections::HashMap;
-    /// let a = HashMap::from([(7u64, 2u64), (9, 1)]);
-    /// let b = HashMap::from([(7u64, 1u64), (4, 3)]);
-    /// let merged = Spectrum::merge_counts([a, b]);
-    /// assert_eq!(merged[&7], 3);
-    /// assert_eq!(merged[&4], 3);
-    /// assert_eq!(merged[&9], 1);
-    /// ```
-    pub fn merge_counts<K: Hash + Eq>(
-        chunks: impl IntoIterator<Item = HashMap<K, u64>>,
-    ) -> HashMap<K, u64> {
-        let mut iter = chunks.into_iter();
-        let Some(mut merged) = iter.next() else {
-            return HashMap::new();
-        };
-        for chunk in iter {
-            // Merge the smaller map into the larger one.
-            let (mut dst, src) = if chunk.len() > merged.len() {
-                (chunk, merged)
-            } else {
-                (merged, chunk)
-            };
-            for (v, c) in src {
-                *dst.entry(v).or_insert(0) += c;
-            }
-            merged = dst;
-        }
-        merged
-    }
-
-    /// Builds a spectrum from per-chunk `value → count` maps — the
-    /// one-call form of [`Spectrum::merge_counts`] followed by
-    /// [`Spectrum::from_sample_counts`]. Equal to the single-pass
-    /// spectrum of the concatenated chunks, for any chunking.
-    pub fn from_count_chunks<K: Hash + Eq>(
-        n: u64,
-        chunks: impl IntoIterator<Item = HashMap<K, u64>>,
-    ) -> Result<Self, SpectrumError> {
-        Self::from_sample_counts(n, Self::merge_counts(chunks).into_values())
-    }
-
     /// Builds a spectrum by hashing raw sampled values.
     ///
     /// This is the convenience path examples use; the experiment harness
@@ -349,16 +299,23 @@ impl Spectrum {
     /// chunked ingestion of one logical sample use [`SpectrumBuilder`],
     /// which merges at the value level.
     ///
+    /// Returns `None` when the combined table would exceed `u64::MAX`
+    /// rows — shard sizes arrive in request bodies, worker frames and
+    /// stats sidecars, so the sum is checked.
+    ///
     /// ```
     /// use dve_core::Spectrum;
     /// let a = Spectrum::from_spectrum(5_000, vec![20, 15]).unwrap();
     /// let b = Spectrum::from_spectrum(5_000, vec![20, 15]).unwrap();
-    /// let whole = a.merge(&b);
+    /// let whole = a.merge(&b).unwrap();
     /// assert_eq!(whole.table_size(), 10_000);
     /// assert_eq!(whole.sample_size(), 100);
     /// assert_eq!((whole.f(1), whole.f(2)), (40, 30));
     /// ```
-    pub fn merge(&self, other: &Spectrum) -> Spectrum {
+    pub fn merge(&self, other: &Spectrum) -> Option<Spectrum> {
+        // Each side has r ≤ n and d ≤ n, so one checked Σ n bounds every
+        // sum below, f-vector entries included.
+        let n = self.n.checked_add(other.n)?;
         let mut entries = Vec::with_capacity(self.entries.len() + other.entries.len());
         let (mut a, mut b) = (
             self.entries.iter().peekable(),
@@ -392,12 +349,12 @@ impl Spectrum {
         }
         // Two valid spectra sum to a valid one: n₁+n₂ ≥ 1, r₁+r₂ ≤ n₁+n₂,
         // d₁+d₂ ≤ n₁+n₂ — every invariant is preserved by addition.
-        Spectrum {
-            n: self.n + other.n,
+        Some(Spectrum {
+            n,
             r: self.r + other.r,
             d: self.d + other.d,
             entries,
-        }
+        })
     }
 
     /// Table size `n`.
@@ -972,41 +929,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_counts_equals_single_pass() {
-        // Count a value stream in one pass and in three chunks; the
-        // resulting spectra must be identical.
-        let values: Vec<u64> = (0..1_000u64).map(|i| (i * i) % 37).collect();
-        let count = |vs: &[u64]| {
-            let mut m: HashMap<u64, u64> = HashMap::new();
-            for &v in vs {
-                *m.entry(v).or_insert(0) += 1;
-            }
-            m
-        };
-        let single = Spectrum::from_sample_counts(2_000, count(&values).into_values());
-        let chunked =
-            Spectrum::from_count_chunks(2_000, values.chunks(301).map(count).collect::<Vec<_>>());
-        assert_eq!(single, chunked);
-    }
-
-    #[test]
-    fn merge_counts_edge_cases() {
-        let empty: Vec<HashMap<u64, u64>> = vec![];
-        assert!(Spectrum::merge_counts(empty).is_empty());
-        assert_eq!(
-            Spectrum::from_count_chunks::<u64>(10, vec![HashMap::new(), HashMap::new()]),
-            Err(SpectrumError::EmptySample)
-        );
-        // Merge order must not matter.
-        let a = HashMap::from([(1u64, 1u64), (2, 5)]);
-        let b = HashMap::from([(2u64, 2u64), (3, 1)]);
-        assert_eq!(
-            Spectrum::merge_counts([a.clone(), b.clone()]),
-            Spectrum::merge_counts([b, a])
-        );
-    }
-
-    #[test]
     fn from_parts_validates_wire_entries() {
         let s = Spectrum::from_parts(100, vec![(1, 4), (3, 2)]).unwrap();
         assert_eq!(s.sample_size(), 10);
@@ -1049,7 +971,7 @@ mod tests {
             (b.clone(), SampleDesign::wor(500)),
         ])
         .unwrap();
-        assert_eq!(m, a.merge(&b));
+        assert_eq!(Some(m), a.merge(&b));
         assert_eq!(design, SampleDesign::wor(1_500));
         // One WR shard downgrades the whole merge to the paper model.
         let (_, design) = Spectrum::merge_designed([
@@ -1062,6 +984,15 @@ mod tests {
         let (solo, d) = Spectrum::merge_designed([(a.clone(), SampleDesign::wor(1_000))]).unwrap();
         assert_eq!((solo, d), (a, SampleDesign::wor(1_000)));
         assert!(Spectrum::merge_designed(std::iter::empty()).is_none());
+        // Shards whose sizes sum past u64::MAX have no merge either.
+        let huge = Spectrum::from_spectrum(u64::MAX, vec![1]).unwrap();
+        let small = Spectrum::from_spectrum(2, vec![1]).unwrap();
+        assert_eq!(huge.merge(&small), None);
+        assert!(Spectrum::merge_designed([
+            (huge, SampleDesign::wor(u64::MAX)),
+            (small, SampleDesign::wor(2)),
+        ])
+        .is_none());
     }
 
     #[test]
@@ -1076,13 +1007,13 @@ mod tests {
     fn shard_merge_adds_every_field() {
         let a = Spectrum::from_spectrum(1_000, vec![4, 0, 2]).unwrap();
         let b = Spectrum::from_spectrum(500, vec![0, 3, 1]).unwrap();
-        let m = a.merge(&b);
+        let m = a.merge(&b).unwrap();
         assert_eq!(m.table_size(), 1_500);
         assert_eq!(m.sample_size(), a.sample_size() + b.sample_size());
         assert_eq!(m.distinct_in_sample(), 6 + 4);
         assert_eq!(m.to_dense(), vec![4, 3, 3]);
         // Commutes.
-        assert_eq!(m, b.merge(&a));
+        assert_eq!(Some(m), b.merge(&a));
     }
 
     #[test]
@@ -1090,7 +1021,8 @@ mod tests {
         let a = Spectrum::from_spectrum(100, vec![2]).unwrap();
         let b = Spectrum::from_spectrum(200, vec![0, 5]).unwrap();
         let c = Spectrum::from_spectrum(300, vec![1, 1, 1]).unwrap();
-        assert_eq!(a.merge(&b).merge(&c), a.merge(&b.merge(&c)));
+        let ab_c = a.merge(&b).and_then(|ab| ab.merge(&c));
+        assert_eq!(ab_c, b.merge(&c).and_then(|bc| a.merge(&bc)));
     }
 
     #[test]

@@ -13,14 +13,14 @@
 //! * mean per-trial **wall time**.
 //!
 //! The report serializes to the `BENCH_accuracy.json` schema (version 1)
-//! with a hand-rolled writer and the [`crate::minijson`] reader, and
+//! through the [`crate::minijson`] writer and reader, and
 //! [`check_against`] compares a fresh run to a committed baseline with
 //! per-metric tolerances — the CI regression gate. Every trial also
 //! feeds the global [`dve_obs`] registry through the [`dve_obs::audit`]
 //! recorders, so a `--metrics prom|json` dump after a sweep carries the
 //! full ratio-error histograms.
 
-use crate::minijson::{self, JsonValue};
+use crate::minijson::{self, JsonValue, Writer};
 use crate::runner::trial_seed;
 use dve_core::bounds::gee_confidence_interval;
 use dve_core::design::SampleDesign;
@@ -342,14 +342,6 @@ pub fn run_audit(config: &AuditConfig) -> AuditReport {
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl AuditReport {
     /// A copy with every `mean_trial_ns` zeroed — the only field that
     /// varies between runs of the same config. Two reports of the same
@@ -373,24 +365,26 @@ impl AuditReport {
             self.version, self.base_rows, self.trials, self.seed
         ));
         for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"estimator\":\"{}\",\"zipf\":{},\"dup\":{},\"fraction\":{},\
-                 \"truth\":{},\"truth_source\":\"{}\",\"mean_ratio_error\":{},\
-                 \"p95_ratio_error\":{},\"coverage\":{},\"mean_rel_width\":{},\
-                 \"mean_trial_ns\":{}}}{}\n",
-                c.estimator,
-                json_f64(c.zipf),
-                c.dup,
-                json_f64(c.fraction),
-                json_f64(c.truth),
-                c.truth_source,
-                json_f64(c.mean_ratio_error),
-                json_f64(c.p95_ratio_error),
-                json_f64(c.coverage),
-                json_f64(c.mean_rel_width),
-                c.mean_trial_ns,
-                if i + 1 < self.cells.len() { "," } else { "" }
-            ));
+            out.push_str("    ");
+            Writer::new(&mut out)
+                .begin_object()
+                .field("estimator", &c.estimator)
+                .field("zipf", c.zipf)
+                .field("dup", c.dup)
+                .field("fraction", c.fraction)
+                .field("truth", c.truth)
+                .field("truth_source", &c.truth_source)
+                .field("mean_ratio_error", c.mean_ratio_error)
+                .field("p95_ratio_error", c.p95_ratio_error)
+                .field("coverage", c.coverage)
+                .field("mean_rel_width", c.mean_rel_width)
+                .field("mean_trial_ns", c.mean_trial_ns)
+                .end_object();
+            out.push_str(if i + 1 < self.cells.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         out.push_str("  ]\n}\n");
         out

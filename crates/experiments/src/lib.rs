@@ -13,8 +13,8 @@
 //! * [`audit`] — the accuracy-audit sweep behind `dve audit`: shadow
 //!   ground truth, per-cell ratio-error / coverage aggregation, and the
 //!   baseline regression gate (`BENCH_accuracy.json`);
-//! * [`minijson`] — the dependency-free JSON reader the gates parse
-//!   baselines with (re-exported from `dve-obs`, where the serve API
+//! * [`minijson`] — the dependency-free JSON writer and reader the gates
+//!   use for baselines (re-exported from `dve-obs`, where the serve API
 //!   shares it).
 //!
 //! Run everything with the bundled binary:

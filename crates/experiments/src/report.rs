@@ -277,27 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn json_layout_is_two_space_pretty() {
-        let json = sample_report().to_json();
-        assert!(
-            json.starts_with("{\n  \"id\": \"fig1\",\n  \"title\": "),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"series\": [\n    \"GEE\",\n    \"AE\"\n  ],"),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"values\": [\n        4.25,\n        1.1234\n      ]"),
-            "{json}"
-        );
-        assert!(
-            json.ends_with("\"notes\": [\n    \"n = 1M\"\n  ]\n}"),
-            "{json}"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "row width")]
     fn row_width_checked() {
         sample_report().push_row("x", vec![1.0]);

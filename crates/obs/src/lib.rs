@@ -118,19 +118,6 @@ pub fn set_enabled(enabled: bool) {
     ENABLED.store(enabled, Ordering::Relaxed);
 }
 
-/// Escapes `s` as the interior of a JSON string (shared by the snapshot
-/// writer and the JSONL sink) — delegates to the one public
-/// implementation in [`minijson::escape_into`].
-pub(crate) fn json_escape_into(out: &mut String, s: &str) {
-    minijson::escape_into(out, s);
-}
-
-/// Writes an `f64` as JSON (finite numbers plainly; non-finite as null,
-/// which JSON cannot represent) — delegates to [`minijson::push_f64`].
-pub(crate) fn json_f64_into(out: &mut String, v: f64) {
-    minijson::push_f64(out, v);
-}
-
 /// Serializes tests that toggle or depend on the global [`enabled`]
 /// flag (unit tests in one binary share it).
 #[cfg(test)]
@@ -151,22 +138,5 @@ mod tests {
         assert!(!enabled());
         set_enabled(true);
         assert!(enabled());
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        let mut s = String::new();
-        json_escape_into(&mut s, "a\"b\\c\nd\u{1}");
-        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
-    }
-
-    #[test]
-    fn json_f64_non_finite_is_null() {
-        let mut s = String::new();
-        json_f64_into(&mut s, f64::NAN);
-        assert_eq!(s, "null");
-        s.clear();
-        json_f64_into(&mut s, 1.5);
-        assert_eq!(s, "1.5");
     }
 }

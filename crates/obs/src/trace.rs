@@ -46,6 +46,7 @@
 //! long-running daemon's memory stays flat and [`dropped_spans`] makes
 //! the loss observable.
 
+use crate::minijson::Writer;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -623,37 +624,35 @@ pub fn record_root_span(
 /// microseconds with nanosecond precision preserved in the fraction.
 pub fn export_chrome_trace(spans: &[SpanRecord]) -> String {
     let mut out = String::with_capacity(128 + spans.len() * 160);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":\"");
-        crate::json_escape_into(&mut out, s.name);
-        out.push_str("\",\"cat\":\"dve\",\"ph\":\"X\",\"ts\":");
-        out.push_str(&format_us(s.start_ns));
-        out.push_str(",\"dur\":");
-        out.push_str(&format_us(s.dur_ns));
-        out.push_str(",\"pid\":1,\"tid\":");
-        out.push_str(&s.tid.to_string());
-        out.push_str(",\"args\":{\"trace_id\":\"");
-        out.push_str(&s.trace_id.to_string());
-        out.push_str("\",\"span_id\":\"");
-        out.push_str(&s.span_id.to_string());
-        out.push('"');
+    let mut w = Writer::new(&mut out);
+    w.begin_object()
+        .field("displayTimeUnit", "ms")
+        .key("traceEvents")
+        .begin_array();
+    for s in spans {
+        w.begin_object()
+            .field("name", s.name)
+            .field("cat", "dve")
+            .field("ph", "X")
+            .key("ts")
+            .raw(&format_us(s.start_ns))
+            .key("dur")
+            .raw(&format_us(s.dur_ns))
+            .field("pid", 1u64)
+            .field("tid", s.tid)
+            .key("args")
+            .begin_object()
+            .field("trace_id", &s.trace_id.to_string())
+            .field("span_id", &s.span_id.to_string());
         if let Some(p) = s.parent_id {
-            out.push_str(",\"parent_id\":\"");
-            out.push_str(&p.to_string());
-            out.push('"');
+            w.field("parent_id", &p.to_string());
         }
         if let Some(d) = &s.detail {
-            out.push_str(",\"detail\":\"");
-            crate::json_escape_into(&mut out, d);
-            out.push('"');
+            w.field("detail", d);
         }
-        out.push_str("}}");
+        w.end_object().end_object();
     }
-    out.push_str("]}");
+    w.end_array().end_object();
     out
 }
 

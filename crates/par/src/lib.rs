@@ -238,7 +238,7 @@ where
 /// Chunk boundaries depend only on `data.len()` and `jobs` — never on
 /// scheduling — so a front-to-back fold of the result is deterministic.
 /// This is the split phase of split-count-merge frequency profiling; the
-/// merge partner is `FrequencyProfile::merge_counts` in `dve-core`.
+/// merge partner is `SpectrumBuilder::absorb` in `dve-core`.
 pub fn map_chunks<'a, T, R, F>(jobs: usize, data: &'a [T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -23,12 +23,12 @@ use crate::pipeline::{self, PipelineError};
 use dve_cluster::{ClusterError, ClusterSweep, Coordinator};
 use dve_core::design::SampleDesign;
 use dve_numeric::rng::Rng;
-use dve_obs::minijson::{self, JsonValue};
+use dve_obs::minijson::{self, JsonValue, Writer};
 use dve_obs::trace;
 use dve_storage::analyze::AnalyzeError;
 use dve_storage::{
-    analyze_table_jobs, build_table_stats, columns_to_json, AnalyzeOptions, Column, DataType,
-    Field, Schema, StatsCatalog, Table,
+    analyze_json, analyze_table_jobs, build_table_stats, AnalyzeOptions, Column, DataType, Field,
+    Schema, StatsCatalog, Table,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -68,13 +68,15 @@ impl Response {
     /// the right next step depends on the specific failure.
     pub fn error_with_hint(status: u16, code: &str, message: &str, hint: &str) -> Self {
         let mut body = String::with_capacity(96 + message.len() + hint.len());
-        body.push_str("{\"error\":{\"code\":\"");
-        body.push_str(code);
-        body.push_str("\",\"message\":\"");
-        escape_into(&mut body, message);
-        body.push_str("\",\"hint\":\"");
-        escape_into(&mut body, hint);
-        body.push_str("\"}}");
+        Writer::new(&mut body)
+            .begin_object()
+            .key("error")
+            .begin_object()
+            .field("code", code)
+            .field("message", message)
+            .field("hint", hint)
+            .end_object()
+            .end_object();
         Response::json(status, body)
     }
 }
@@ -116,10 +118,6 @@ pub fn exit_code_for(code: &str) -> i32 {
         | "cluster_not_configured" => 3,
         _ => 1,
     }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    minijson::escape_into(out, s);
 }
 
 /// The route label used for `serve.requests` metrics.
@@ -209,18 +207,22 @@ pub fn handle_with_status(req: &Request, status: &ServeStatus) -> Response {
 /// `GET /healthz` — liveness plus the facts an operator checks first:
 /// uptime, version, pool size, and queue pressure.
 fn healthz(status: &ServeStatus) -> Response {
-    Response::json(
-        200,
-        format!(
-            "{{\"status\":\"ok\",\"version\":\"{}\",\"api_version\":{API_VERSION},\"uptime_s\":{},\"jobs\":{},\"queue_depth\":{},\"queue_capacity\":{},\"cluster_workers\":{}}}",
-            env!("CARGO_PKG_VERSION"),
-            status.started.elapsed().as_secs(),
-            status.jobs,
-            status.queue_len,
-            status.queue_capacity,
+    let mut body = String::with_capacity(160);
+    Writer::new(&mut body)
+        .begin_object()
+        .field("status", "ok")
+        .field("version", env!("CARGO_PKG_VERSION"))
+        .field("api_version", API_VERSION)
+        .field("uptime_s", status.started.elapsed().as_secs())
+        .field("jobs", status.jobs)
+        .field("queue_depth", status.queue_len)
+        .field("queue_capacity", status.queue_capacity)
+        .field(
+            "cluster_workers",
             status.cluster.as_ref().map_or(0, |c| c.workers().len()),
-        ),
-    )
+        )
+        .end_object();
+    Response::json(200, body)
 }
 
 /// `GET /metrics` — Prometheus text exposition: the process-wide
@@ -277,21 +279,21 @@ fn traces_index(req: &Request) -> Response {
             }
         }
     }
-    let mut body = String::from("{\"traces\":[");
-    for (i, t) in trace::recent_traces().iter().take(limit).enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
-            "{{\"trace_id\":\"{}\",\"root\":\"{}\",\"start_us\":{},\"dur_us\":{},\"spans\":{}}}",
-            t.trace_id,
-            t.root_name,
-            t.start_ns / 1_000,
-            t.dur_ns / 1_000,
-            t.spans,
-        ));
+    let mut body = String::new();
+    let mut w = Writer::new(&mut body);
+    w.begin_object().key("traces").begin_array();
+    for t in trace::recent_traces().iter().take(limit) {
+        w.begin_object()
+            .field("trace_id", &t.trace_id.to_string())
+            .field("root", t.root_name)
+            .field("start_us", t.start_ns / 1_000)
+            .field("dur_us", t.dur_ns / 1_000)
+            .field("spans", t.spans)
+            .end_object();
     }
-    body.push_str(&format!("],\"dropped_spans\":{}}}", trace::dropped_spans()));
+    w.end_array()
+        .field("dropped_spans", trace::dropped_spans())
+        .end_object();
     Response::json(200, body)
 }
 
@@ -312,16 +314,16 @@ fn trace_by_id(id: &str) -> Response {
 }
 
 fn estimators() -> Response {
-    let mut body = format!("{{\"api_version\":{API_VERSION},\"estimators\":[");
-    for (i, name) in dve_core::registry::ALL_ESTIMATORS.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push('"');
-        body.push_str(name);
-        body.push('"');
+    let mut body = String::new();
+    let mut w = Writer::new(&mut body);
+    w.begin_object()
+        .field("api_version", API_VERSION)
+        .key("estimators")
+        .begin_array();
+    for name in dve_core::registry::ALL_ESTIMATORS {
+        w.value(*name);
     }
-    body.push_str("]}");
+    w.end_array().end_object();
     Response::json(200, body)
 }
 
@@ -530,14 +532,13 @@ fn estimate(body: &[u8], status: &ServeStatus) -> Response {
                 shards.push((n, spectrum));
             }
             match design {
-                Some("wor") => {
-                    let total: u64 = shards.iter().map(|(n, _)| *n).sum();
-                    pipeline::estimate_shards_designed(
-                        shards,
-                        &knobs.estimator,
-                        SampleDesign::wor(total),
-                    )
-                }
+                // Only the kind matters: each shard is re-designed as
+                // wor(nᵢ), and the checked merge sums the nᵢ.
+                Some("wor") => pipeline::estimate_shards_designed(
+                    shards,
+                    &knobs.estimator,
+                    SampleDesign::wor(0),
+                ),
                 _ => pipeline::estimate_shards(shards, &knobs.estimator),
             }
         }
@@ -641,11 +642,13 @@ fn estimate_cluster(
     match pipeline::estimate_profile(&sweep.spectrum, &knobs.estimator, design) {
         Ok(out) => {
             let _serialize = trace::span("serve.serialize");
-            let mut body = out.to_json();
-            body.pop(); // splice "cluster" into the top-level object
-            body.push_str(",\"cluster\":");
-            cluster_json_into(&mut body, &sweep);
-            body.push('}');
+            let mut body = String::with_capacity(320);
+            let mut w = Writer::new(&mut body);
+            w.begin_object();
+            out.members_into(&mut w);
+            w.key("cluster");
+            cluster_json_into(&mut w, &sweep);
+            w.end_object();
             Response::json(200, body)
         }
         Err(err) => pipeline_error(err),
@@ -654,27 +657,22 @@ fn estimate_cluster(
 
 /// Renders a sweep's coverage report:
 /// `{"workers":…,"answered":…,"segments":…,"retries":…,"skipped":[…]}`.
-fn cluster_json_into(body: &mut String, sweep: &ClusterSweep) {
-    body.push_str(&format!(
-        "{{\"workers\":{},\"answered\":{},\"segments\":{},\"retries\":{},\"skipped\":[",
-        sweep.workers_total, sweep.workers_answered, sweep.segments, sweep.retries,
-    ));
-    for (i, s) in sweep.skipped.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str("{\"worker\":\"");
-        escape_into(body, &s.worker);
-        body.push_str("\",\"segments\":");
-        match s.segments {
-            Some(n) => body.push_str(&n.to_string()),
-            None => body.push_str("null"),
-        }
-        body.push_str(",\"error\":\"");
-        escape_into(body, &s.error);
-        body.push_str("\"}");
+fn cluster_json_into(w: &mut Writer, sweep: &ClusterSweep) {
+    w.begin_object()
+        .field("workers", sweep.workers_total)
+        .field("answered", sweep.workers_answered)
+        .field("segments", sweep.segments)
+        .field("retries", sweep.retries)
+        .key("skipped")
+        .begin_array();
+    for s in &sweep.skipped {
+        w.begin_object()
+            .field("worker", &s.worker)
+            .field("segments", s.segments)
+            .field("error", &s.error)
+            .end_object();
     }
-    body.push_str("]}");
+    w.end_array().end_object();
 }
 
 /// Query knobs for `POST /v1/analyze`: `?save=true&table=NAME` saves
@@ -827,13 +825,10 @@ fn analyze(req: &Request, status: &ServeStatus) -> Response {
         // sample) and additionally derives the catalog artifacts.
         return match build_table_stats(&table, &name, &options, knobs.seed) {
             Ok(stats) => {
-                let column_json = columns_to_json(&stats.column_statistics());
+                let columns = stats.column_statistics();
                 status.catalog.lock().expect("catalog lock").save(stats);
                 let _serialize = trace::span("serve.serialize");
-                let mut out = format!("{{\"columns\":{column_json},\"saved\":\"");
-                escape_into(&mut out, &name);
-                out.push_str("\"}");
-                Response::json(200, out)
+                Response::json(200, analyze_json(&columns, Some(&name)))
             }
             Err(AnalyzeError::UnknownEstimator(err)) => {
                 Response::error(400, "unknown_estimator", &err.to_string())
@@ -845,7 +840,7 @@ fn analyze(req: &Request, status: &ServeStatus) -> Response {
     match analyze_table_jobs(&table, &options, 0, &mut rng) {
         Ok(stats) => {
             let _serialize = trace::span("serve.serialize");
-            Response::json(200, format!("{{\"columns\":{}}}", columns_to_json(&stats)))
+            Response::json(200, analyze_json(&stats, None))
         }
         Err(AnalyzeError::UnknownEstimator(err)) => {
             Response::error(400, "unknown_estimator", &err.to_string())

@@ -23,6 +23,7 @@
 //! [`DEFAULT_MAX_RATIO_ERROR`]; anything else burns the error budget.
 
 use crate::pipeline::{EstimateOutcome, ShadowObservation};
+use dve_obs::minijson::Writer;
 use dve_obs::window::{self, Exemplar, WINDOWS};
 use dve_obs::{audit, trace, SloConfig, SloTracker};
 use std::collections::{BTreeMap, BTreeSet};
@@ -149,83 +150,77 @@ impl Monitor {
     /// per-estimator windowed quantiles + coverage.
     pub fn slo_json(&self) -> String {
         let cfg = self.slo.config();
-        let burning = self.slo.burning();
         let mut body = String::with_capacity(512);
-        body.push_str(&format!(
-            "{{\"shadow_sample_rate\":{},\"target\":{},\"max_ratio_error\":{},\"burn_threshold\":{},",
-            self.sample_rate, cfg.target, self.max_ratio_error, cfg.burn_threshold
-        ));
-        body.push_str(&format!(
-            "\"alert\":\"{}\",\"burn_rate\":{{\"5m\":{},\"1h\":{}}},\"budget_remaining\":{},",
-            if burning { "burning" } else { "ok" },
-            json_f64(self.slo.burn_rate(cfg.fast_window_ns)),
-            json_f64(self.slo.burn_rate(cfg.slow_window_ns)),
-            json_f64(self.slo.budget_remaining()),
-        ));
+        let mut w = Writer::new(&mut body);
+        w.begin_object()
+            .field("shadow_sample_rate", self.sample_rate)
+            .field("target", cfg.target)
+            .field("max_ratio_error", self.max_ratio_error)
+            .field("burn_threshold", cfg.burn_threshold)
+            .field("alert", if self.slo.burning() { "burning" } else { "ok" })
+            .key("burn_rate")
+            .begin_object()
+            .field("5m", self.slo.burn_rate(cfg.fast_window_ns))
+            .field("1h", self.slo.burn_rate(cfg.slow_window_ns))
+            .end_object()
+            .field("budget_remaining", self.slo.budget_remaining());
         let windows = window::global_windows();
         let estimators = self
             .estimators
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .clone();
+        let counts = |est: &str, ns: u64| {
+            (
+                windows.counter("window.shadow_samples", est).sum(ns),
+                windows.counter("window.shadow_covered", est).sum(ns),
+            )
+        };
+        let coverage =
+            |(samples, covered): (u64, u64)| (samples > 0).then(|| covered as f64 / samples as f64);
         // Overall sample counts / coverage per window, summed over the
         // estimators this monitor has observed.
-        for (key, field) in [("samples", false), ("coverage", true)] {
-            body.push_str(&format!("\"{key}\":{{"));
-            for (i, (w, ns)) in WINDOWS.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                let mut samples = 0u64;
-                let mut covered = 0u64;
-                for est in &estimators {
-                    samples += windows.counter("window.shadow_samples", est).sum(*ns);
-                    covered += windows.counter("window.shadow_covered", est).sum(*ns);
-                }
-                if field {
-                    let rate = if samples == 0 {
-                        "null".to_string()
-                    } else {
-                        json_f64(covered as f64 / samples as f64)
-                    };
-                    body.push_str(&format!("\"{w}\":{rate}"));
-                } else {
-                    body.push_str(&format!("\"{w}\":{samples}"));
-                }
-            }
-            body.push_str("},");
+        let totals = WINDOWS.map(|(_, ns)| {
+            estimators.iter().fold((0, 0), |(s, c), est| {
+                let (samples, covered) = counts(est, ns);
+                (s + samples, c + covered)
+            })
+        });
+        w.key("samples").begin_object();
+        for ((label, _), (samples, _)) in WINDOWS.iter().zip(totals) {
+            w.field(label, samples);
         }
-        body.push_str("\"estimators\":[");
-        for (i, est) in estimators.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("{{\"estimator\":\"{est}\",\"windows\":["));
+        w.end_object().key("coverage").begin_object();
+        for ((label, _), total) in WINDOWS.iter().zip(totals) {
+            w.field(label, coverage(total));
+        }
+        w.end_object().key("estimators").begin_array();
+        for est in &estimators {
+            w.begin_object()
+                .field("estimator", est)
+                .key("windows")
+                .begin_array();
             let hist = windows.histogram("window.ratio_error_permille", est);
-            for (j, (w, ns)) in WINDOWS.iter().enumerate() {
-                if j > 0 {
-                    body.push(',');
-                }
-                let stats = hist.stats(*ns);
-                let samples = windows.counter("window.shadow_samples", est).sum(*ns);
-                let covered = windows.counter("window.shadow_covered", est).sum(*ns);
-                let coverage = if samples == 0 {
-                    "null".to_string()
-                } else {
-                    json_f64(covered as f64 / samples as f64)
-                };
-                body.push_str(&format!(
-                    "{{\"window\":\"{w}\",\"samples\":{samples},\"covered\":{covered},\"coverage\":{coverage},\
-                     \"ratio_error_permille\":{{\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}}}",
-                    json_f64(stats.p50),
-                    json_f64(stats.p95),
-                    json_f64(stats.p99),
-                    stats.max.unwrap_or(0),
-                ));
+            for (label, ns) in WINDOWS {
+                let stats = hist.stats(ns);
+                let (samples, covered) = counts(est, ns);
+                w.begin_object()
+                    .field("window", label)
+                    .field("samples", samples)
+                    .field("covered", covered)
+                    .field("coverage", coverage((samples, covered)))
+                    .key("ratio_error_permille")
+                    .begin_object()
+                    .field("p50", stats.p50)
+                    .field("p95", stats.p95)
+                    .field("p99", stats.p99)
+                    .field("max", stats.max.unwrap_or(0))
+                    .end_object()
+                    .end_object();
             }
-            body.push_str("]}");
+            w.end_array().end_object();
         }
-        body.push_str("]}");
+        w.end_array().end_object();
         body
     }
 
@@ -287,14 +282,6 @@ impl Monitor {
             ));
         }
         out
-    }
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

@@ -58,6 +58,6 @@ pub use persist::{
 };
 pub use planner::{execute_group_by, plan_group_by, plan_scan, GroupByStrategy, ScanStrategy};
 pub use query::{count_distinct, filter_rows, Filter, Predicate};
-pub use stats::{columns_to_json, ColumnStatistics};
+pub use stats::{analyze_json, columns_to_json, ColumnStatistics};
 pub use table::{Catalog, Field, Schema, Table};
 pub use value::{DataType, Value};

@@ -27,6 +27,7 @@
 use crate::column::Column;
 use crate::table::{Field, Schema, Table, TableError};
 use crate::value::DataType;
+use dve_obs::minijson::Writer;
 use std::io::{self, Read, Write};
 
 /// Format magic bytes.
@@ -483,10 +484,19 @@ pub fn save_table_stats(
     table_path: &std::path::Path,
 ) -> Result<(), PersistError> {
     let body = stats.to_json();
-    let envelope = format!(
-        "{{\"format\":\"{STATS_FORMAT}\",\"version\":{VERSION},\"checksum\":\"{:#018x}\",\"stats\":{body}}}\n",
-        stats_checksum(body.as_bytes()),
-    );
+    let mut envelope = String::with_capacity(body.len() + 96);
+    Writer::new(&mut envelope)
+        .begin_object()
+        .field("format", STATS_FORMAT)
+        .field("version", VERSION)
+        .field(
+            "checksum",
+            &format!("{:#018x}", stats_checksum(body.as_bytes())),
+        )
+        .key("stats")
+        .raw(&body)
+        .end_object();
+    envelope.push('\n');
     std::fs::write(stats_path_for(table_path), envelope)?;
     Ok(())
 }

@@ -6,6 +6,7 @@
 
 use dve_core::bounds::ConfidenceInterval;
 use dve_core::estimator::Estimation;
+use dve_obs::minijson::Writer;
 
 /// Statistics for one column, as a catalog would store them.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,30 +65,48 @@ impl ColumnStatistics {
     /// `/v1/analyze` and `dve analyze --format json` emit per column.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(192);
-        out.push_str("{\"column\":\"");
-        dve_obs::minijson::escape_into(&mut out, &self.column);
-        out.push_str(&format!(
-            "\",\"null_count_estimate\":{},\"estimation\":{}}}",
-            self.null_count_estimate,
-            self.estimation().to_json()
-        ));
+        self.json_into(&mut Writer::new(&mut out));
         out
+    }
+
+    fn json_into(&self, w: &mut Writer) {
+        w.begin_object()
+            .field("column", &self.column)
+            .field("null_count_estimate", self.null_count_estimate)
+            .key("estimation");
+        self.estimation().json_into(w);
+        w.end_object();
     }
 }
 
+fn columns_json_into(w: &mut Writer, stats: &[ColumnStatistics]) {
+    w.begin_array();
+    for s in stats {
+        s.json_into(w);
+    }
+    w.end_array();
+}
+
 /// Serializes a slice of column statistics as a JSON array (the
-/// `columns` payload shared by `dve analyze --format json` and the
-/// `/v1/analyze` endpoint).
+/// `columns` payload of [`analyze_json`]).
 pub fn columns_to_json(stats: &[ColumnStatistics]) -> String {
     let mut out = String::with_capacity(64 + 192 * stats.len());
-    out.push('[');
-    for (i, s) in stats.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&s.to_json());
+    columns_json_into(&mut Writer::new(&mut out), stats);
+    out
+}
+
+/// The document `dve analyze --format json` prints and `POST
+/// /v1/analyze` answers: `{"columns":[…]}`, plus `"saved":NAME` when
+/// the statistics were saved to the catalog under a table name.
+pub fn analyze_json(stats: &[ColumnStatistics], saved: Option<&str>) -> String {
+    let mut out = String::with_capacity(96 + 192 * stats.len());
+    let mut w = Writer::new(&mut out);
+    w.begin_object().key("columns");
+    columns_json_into(&mut w, stats);
+    if let Some(table) = saved {
+        w.field("saved", table);
     }
-    out.push(']');
+    w.end_object();
     out
 }
 

@@ -105,6 +105,18 @@ code="$(curl -s -o "$tmpdir/err.json" -w '%{http_code}' \
 test "$code" = 400
 grep -q '"code":"malformed_json"' "$tmpdir/err.json"
 
+# Shard row counts summing past u64::MAX are a 400, not a dead pool
+# worker: the release build would wrap the sum and panic later than the
+# debug tests do, so the release daemon is probed here.
+for design in '' ',"design":"wor"'; do
+    code="$(curl -s -o "$tmpdir/overflow.json" -w '%{http_code}' \
+        -X POST "http://127.0.0.1:$serve_port/v1/estimate" \
+        -d '{"estimator":"GEE","shards":[{"n":18446744073709551615,"spectrum":[1]},{"n":2,"spectrum":[1]}]'"$design"'}')"
+    test "$code" = 400
+    grep -q '"code":"bad_request"' "$tmpdir/overflow.json"
+done
+curl -sf "http://127.0.0.1:$serve_port/healthz" | grep -q '"status":"ok"'
+
 # Prometheus exposition lint: every non-comment line must be
 # `name{labels} value` or `name value` — optionally carrying an
 # OpenMetrics exemplar suffix (` # {labels} value`) — and every metric

@@ -1012,10 +1012,7 @@ fn cmd_analyze(args: &[String]) {
     if format == "json" {
         // The same per-column encoding `dve serve`'s `/v1/analyze`
         // returns: ColumnStatistics → the shared Estimation contract.
-        println!(
-            "{{\"columns\":{}}}",
-            distinct_values::storage::columns_to_json(&stats)
-        );
+        println!("{}", distinct_values::storage::analyze_json(&stats, None));
         return;
     }
     println!(

@@ -20,9 +20,9 @@ use std::time::Duration;
 
 use distinct_values::cluster::protocol::{encode, read_message};
 use distinct_values::cluster::{Message, PartialSpectrum, WireErrorCode, PROTOCOL_VERSION};
-use distinct_values::numeric::check::check;
+use distinct_values::numeric::check::{check, vec_of};
 use distinct_values::numeric::rng::Rng;
-use distinct_values::obs::minijson;
+use distinct_values::obs::minijson::{self, JsonValue, Writer};
 use distinct_values::serve::http::read_request;
 use distinct_values::storage::catalog::build_table_stats;
 use distinct_values::storage::persist::{
@@ -326,4 +326,82 @@ fn minijson_documents_parse_or_fail_typed() {
         let text = String::from_utf8_lossy(&bytes);
         let _ = within_allocation_bound(bytes.len(), || minijson::parse(&text));
     });
+}
+
+/// Characters covering every class the string escaper distinguishes.
+const JSON_CHARS: [char; 12] = [
+    'a', 'é', '€', '/', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}',
+];
+
+fn random_json_string(rng: &mut Rng) -> String {
+    let chars = vec_of(rng, 0..6, |rng| JSON_CHARS[rng.below(12) as usize]);
+    chars.into_iter().collect()
+}
+
+/// Writes a random document up to `depth` containers deep and returns
+/// the value the reader must recover from it. Floats come from raw
+/// bits, so NaN, ±inf, subnormals and -0 all occur; JSON has no
+/// non-finite numbers, so those read back as `null`.
+fn write_random_json(rng: &mut Rng, w: &mut Writer, depth: u32) -> JsonValue {
+    match rng.below(if depth == 0 { 5 } else { 7 }) {
+        0 => {
+            w.value(None::<u64>);
+            JsonValue::Null
+        }
+        1 => {
+            let x = f64::from_bits(rng.next_u64());
+            w.value(x);
+            if x.is_finite() {
+                JsonValue::Num(x)
+            } else {
+                JsonValue::Null
+            }
+        }
+        2 => {
+            let n = rng.below(1 << 53);
+            w.value(n);
+            JsonValue::Num(n as f64)
+        }
+        3 => {
+            let n = -(rng.below(1 << 53) as i64);
+            w.value(n);
+            JsonValue::Num(n as f64)
+        }
+        4 => {
+            let s = random_json_string(rng);
+            w.value(&s);
+            JsonValue::Str(s)
+        }
+        5 => {
+            w.begin_array();
+            let items = vec_of(rng, 0..4, |rng| write_random_json(rng, w, depth - 1));
+            w.end_array();
+            JsonValue::Arr(items)
+        }
+        _ => {
+            w.begin_object();
+            let members = vec_of(rng, 0..4, |rng| {
+                let key = random_json_string(rng);
+                w.key(&key);
+                (key, write_random_json(rng, w, depth - 1))
+            });
+            w.end_object();
+            JsonValue::Obj(members)
+        }
+    }
+}
+
+/// Every document the writer produces parses back to the value written.
+#[test]
+fn minijson_writer_output_parses_to_the_written_value() {
+    check(
+        "minijson_writer_output_parses_to_the_written_value",
+        512,
+        |rng| {
+            let mut text = String::new();
+            let written = write_random_json(rng, &mut Writer::new(&mut text), 4);
+            let parsed = minijson::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+            assert_eq!(parsed, written, "{text}");
+        },
+    );
 }

@@ -407,6 +407,42 @@ fn structured_errors() {
     server.stop();
 }
 
+/// Shard row counts come from the request body, so their sum can pass
+/// `u64::MAX`. Every such body is a 400 `bad_request` — never a panic
+/// that takes a pool worker down — and the daemon keeps answering.
+#[test]
+fn shard_row_counts_summing_past_u64_max_are_rejected() {
+    let server = boot(ServeConfig {
+        jobs: 2,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr;
+    let max = r#"{"n":18446744073709551615,"spectrum":[1]},{"n":2,"spectrum":[1]}"#;
+    let half =
+        r#"{"n":9223372036854775808,"spectrum":[1]},{"n":9223372036854775808,"spectrum":[1]}"#;
+    for shards in [max, half] {
+        for design in ["", r#","design":"wor""#, r#","design":"wr""#] {
+            // Each body twice: once per pool worker.
+            for _ in 0..2 {
+                let body = format!(r#"{{"estimator":"GEE","shards":[{shards}]{design}}}"#);
+                let (status, answer) = post(addr, "/v1/estimate", &body);
+                assert_eq!(status, 400, "{body} → {answer}");
+                assert!(answer.contains("\"code\":\"bad_request\""), "{answer}");
+                assert!(answer.contains("2^64 - 1 rows"), "{answer}");
+            }
+        }
+    }
+    let (status, body) = get(addr, "/healthz");
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = post(
+        addr,
+        "/v1/estimate",
+        r#"{"estimator":"GEE","shards":[{"n":5000,"spectrum":[20,15]},{"n":5000,"spectrum":[20,15]}]}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    server.stop();
+}
+
 #[test]
 fn burst_sheds_cleanly_with_only_200_or_429() {
     // One slow worker + a 2-deep queue: a 12-client burst must be
