@@ -56,7 +56,7 @@
 
 use crate::design::SampleDesign;
 use crate::estimator::DistinctEstimator;
-use crate::profile::FrequencyProfile;
+use crate::spectrum::Spectrum;
 use dve_numeric::poly::pow1m;
 use dve_numeric::roots::brent;
 use dve_numeric::special::ln_gamma;
@@ -113,7 +113,7 @@ impl AdaptiveEstimator {
     /// The residual `g(m) = m − f₁ − f₂ − f₁·K(m)` whose root is `m̂`,
     /// under the paper's with-replacement model. Exposed for the
     /// solver-convergence bench and tests.
-    pub fn residual(&self, profile: &FrequencyProfile, m: f64) -> f64 {
+    pub fn residual(&self, profile: &Spectrum, m: f64) -> f64 {
         self.residual_for(profile, SampleDesign::WithReplacement, m)
     }
 
@@ -121,7 +121,7 @@ impl AdaptiveEstimator {
     /// form reproduces [`AdaptiveEstimator::residual`] bit-for-bit, while
     /// the without-replacement form swaps the binomial terms for their
     /// hypergeometric analogs (see the module docs).
-    pub fn residual_for(&self, profile: &FrequencyProfile, design: SampleDesign, m: f64) -> f64 {
+    pub fn residual_for(&self, profile: &Spectrum, design: SampleDesign, m: f64) -> f64 {
         FixedPoint::new(self.form, profile, design).residual(m)
     }
 
@@ -132,7 +132,7 @@ impl AdaptiveEstimator {
     /// * residual never crosses zero and stays negative (all-singleton
     ///   samples) — the data is consistent with everything being distinct;
     ///   return the upper boundary `n` (the clamp caps `D̂` at `n`).
-    pub fn solve_m(&self, profile: &FrequencyProfile) -> f64 {
+    pub fn solve_m(&self, profile: &Spectrum) -> f64 {
         self.solve_m_for(profile, SampleDesign::WithReplacement)
     }
 
@@ -140,7 +140,7 @@ impl AdaptiveEstimator {
     /// with-replacement design reproduces [`AdaptiveEstimator::solve_m`]
     /// bit-for-bit. Bracket and boundary behavior are shared across
     /// designs (see [`AdaptiveEstimator::solve_m`]).
-    pub fn solve_m_for(&self, profile: &FrequencyProfile, design: SampleDesign) -> f64 {
+    pub fn solve_m_for(&self, profile: &Spectrum, design: SampleDesign) -> f64 {
         let f1 = profile.f(1) as f64;
         let f2 = profile.f(2) as f64;
         if f1 == 0.0 {
@@ -186,7 +186,7 @@ enum LowBlock {
 }
 
 impl FixedPoint {
-    fn new(form: AeForm, profile: &FrequencyProfile, design: SampleDesign) -> Self {
+    fn new(form: AeForm, profile: &Spectrum, design: SampleDesign) -> Self {
         let r = profile.sample_size() as f64;
         let f1 = profile.f(1) as f64;
         let f2 = profile.f(2) as f64;
@@ -446,7 +446,7 @@ pub const AE_FORM_DISAGREEMENT_RATIO: f64 = 1.05;
 /// with it the paper's published AE equation — is drifting away from the
 /// exact binomial solve on the workload being audited, which is exactly
 /// the regime where solver changes need scrutiny.
-pub fn audit_form_agreement(profile: &FrequencyProfile) -> f64 {
+pub fn audit_form_agreement(profile: &Spectrum) -> f64 {
     let exact = AdaptiveEstimator::with_form(AeForm::ExactBinomial).estimate(profile);
     let approx = AdaptiveEstimator::with_form(AeForm::ExpApprox).estimate(profile);
     let spread = crate::error::ratio_error(exact.max(1.0), approx.max(1.0));
@@ -462,7 +462,7 @@ impl DistinctEstimator for AdaptiveEstimator {
         }
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let f1 = profile.f(1) as f64;
         let f2 = profile.f(2) as f64;
@@ -476,7 +476,7 @@ impl DistinctEstimator for AdaptiveEstimator {
     /// AE is design-aware: under [`SampleDesign::WithoutReplacement`] the
     /// fixed point is solved in its hypergeometric form, correcting the
     /// overestimation the with-replacement model shows on WOR samples.
-    fn estimate_raw_for(&self, profile: &FrequencyProfile, design: SampleDesign) -> f64 {
+    fn estimate_raw_for(&self, profile: &Spectrum, design: SampleDesign) -> f64 {
         match design {
             SampleDesign::WithReplacement => self.estimate_raw(profile),
             SampleDesign::WithoutReplacement { .. } => {
@@ -521,7 +521,7 @@ mod tests {
         // sampled at 0.8%. GEE overshoots ~4x; AE must land near 1.
         let d_true = 10_000u64;
         let spectrum = uniform_expected_spectrum(d_true, 100, 0.008);
-        let p = FrequencyProfile::from_spectrum(1_000_000, spectrum).unwrap();
+        let p = Spectrum::from_spectrum(1_000_000, spectrum).unwrap();
         let ae = AdaptiveEstimator::new().estimate(&p);
         let gee = Gee::default().estimate(&p);
         let ae_err = ratio_error(ae, d_true as f64);
@@ -538,27 +538,27 @@ mod tests {
 
     #[test]
     fn ae_no_singletons_returns_d() {
-        let p = FrequencyProfile::from_spectrum(100_000, vec![0, 40, 7]).unwrap();
+        let p = Spectrum::from_spectrum(100_000, vec![0, 40, 7]).unwrap();
         assert_eq!(AdaptiveEstimator::new().estimate(&p), 47.0);
     }
 
     #[test]
     fn ae_all_singletons_returns_n() {
         // All-singleton sample: consistent with everything distinct.
-        let p = FrequencyProfile::from_spectrum(10_000, vec![100]).unwrap();
+        let p = Spectrum::from_spectrum(10_000, vec![100]).unwrap();
         assert_eq!(AdaptiveEstimator::new().estimate(&p), 10_000.0);
     }
 
     #[test]
     fn ae_full_scan_is_exact() {
-        let p = FrequencyProfile::from_sample_counts(6, [3, 2, 1]).unwrap();
+        let p = Spectrum::from_sample_counts(6, [3, 2, 1]).unwrap();
         assert_eq!(AdaptiveEstimator::new().estimate(&p), 3.0);
     }
 
     #[test]
     fn solved_m_satisfies_equation() {
         let spectrum = uniform_expected_spectrum(10_000, 100, 0.008);
-        let p = FrequencyProfile::from_spectrum(1_000_000, spectrum).unwrap();
+        let p = Spectrum::from_spectrum(1_000_000, spectrum).unwrap();
         let ae = AdaptiveEstimator::new();
         let m = ae.solve_m(&p);
         let resid = ae.residual(&p, m);
@@ -571,7 +571,7 @@ mod tests {
     #[test]
     fn exact_and_approx_forms_agree_roughly() {
         let spectrum = uniform_expected_spectrum(10_000, 100, 0.016);
-        let p = FrequencyProfile::from_spectrum(1_000_000, spectrum).unwrap();
+        let p = Spectrum::from_spectrum(1_000_000, spectrum).unwrap();
         let exact = AdaptiveEstimator::with_form(AeForm::ExactBinomial).estimate(&p);
         let approx = AdaptiveEstimator::with_form(AeForm::ExpApprox).estimate(&p);
         let spread = ratio_error(exact, approx);
@@ -588,7 +588,7 @@ mod tests {
         s[0] = 50;
         s[1] = 10;
         s[929] = 1;
-        let p = FrequencyProfile::from_spectrum(100_000, s).unwrap();
+        let p = Spectrum::from_spectrum(100_000, s).unwrap();
         let est = AdaptiveEstimator::new().estimate(&p);
         // The truth for such data is plausibly a few thousand at most;
         // AE must stay within the sanity interval and above d.
@@ -598,7 +598,7 @@ mod tests {
     #[test]
     fn solver_records_iteration_telemetry() {
         let spectrum = uniform_expected_spectrum(10_000, 100, 0.008);
-        let p = FrequencyProfile::from_spectrum(1_000_000, spectrum).unwrap();
+        let p = Spectrum::from_spectrum(1_000_000, spectrum).unwrap();
         let before = solve_iters_hist().count();
         let _ = AdaptiveEstimator::new().solve_m(&p);
         assert!(solve_iters_hist().count() > before);
@@ -636,7 +636,7 @@ mod tests {
     fn ae_wor_design_corrects_the_pinned_bias() {
         // 900 classes × 10 rows, r = 1800 (20%), expected WOR spectrum.
         let spectrum = wor_expected_spectrum(900, 10, 1_800);
-        let p = FrequencyProfile::from_spectrum(9_000, spectrum).unwrap();
+        let p = Spectrum::from_spectrum(9_000, spectrum).unwrap();
         let ae = AdaptiveEstimator::new();
         let wr = ae.estimate(&p);
         assert!(
@@ -660,7 +660,7 @@ mod tests {
     #[test]
     fn wor_solved_m_satisfies_the_hypergeometric_equation() {
         let spectrum = wor_expected_spectrum(900, 10, 1_800);
-        let p = FrequencyProfile::from_spectrum(9_000, spectrum).unwrap();
+        let p = Spectrum::from_spectrum(9_000, spectrum).unwrap();
         let ae = AdaptiveEstimator::new();
         let design = SampleDesign::wor(9_000);
         let m = ae.solve_m_for(&p, design);
@@ -684,7 +684,7 @@ mod tests {
     fn wor_design_as_large_as_the_sample_degrades_to_d() {
         // design n == r: a WOR sample of the whole (declared) table can
         // hide nothing, so K = 0, m = f1 + f2 and the estimate is d.
-        let p = FrequencyProfile::from_spectrum(10_000, vec![40, 30]).unwrap();
+        let p = Spectrum::from_spectrum(10_000, vec![40, 30]).unwrap();
         let est = AdaptiveEstimator::new().estimate_for(&p, SampleDesign::wor(100));
         assert_eq!(est, 70.0);
     }
@@ -694,7 +694,7 @@ mod tests {
         // ExpApprox approximates the *binomial*; under a WOR design both
         // forms solve the same exact hypergeometric equation.
         let spectrum = wor_expected_spectrum(900, 10, 1_800);
-        let p = FrequencyProfile::from_spectrum(9_000, spectrum).unwrap();
+        let p = Spectrum::from_spectrum(9_000, spectrum).unwrap();
         let design = SampleDesign::wor(9_000);
         let exact = AdaptiveEstimator::with_form(AeForm::ExactBinomial).estimate_for(&p, design);
         let approx = AdaptiveEstimator::with_form(AeForm::ExpApprox).estimate_for(&p, design);
@@ -704,7 +704,7 @@ mod tests {
     #[test]
     fn form_agreement_hook_records_spread() {
         let spectrum = uniform_expected_spectrum(10_000, 100, 0.016);
-        let p = FrequencyProfile::from_spectrum(1_000_000, spectrum).unwrap();
+        let p = Spectrum::from_spectrum(1_000_000, spectrum).unwrap();
         let hist = dve_obs::global().histogram("audit.ae.form_spread_permille");
         let before = hist.count();
         let spread = crate::ae::audit_form_agreement(&p);
@@ -731,7 +731,7 @@ mod tests {
     mod reference {
         use crate::ae::{AdaptiveEstimator, AeForm};
         use crate::design::SampleDesign;
-        use crate::profile::FrequencyProfile;
+        use crate::spectrum::Spectrum;
         use dve_numeric::poly::pow1m;
         use dve_numeric::roots::brent;
         use dve_numeric::special::ln_gamma;
@@ -743,7 +743,7 @@ mod tests {
         impl AdaptiveEstimator {
             pub(super) fn reference_residual_for(
                 &self,
-                profile: &FrequencyProfile,
+                profile: &Spectrum,
                 design: SampleDesign,
                 m: f64,
             ) -> f64 {
@@ -752,14 +752,14 @@ mod tests {
                 m - f1 - f2 - f1 * self.k_of_m(profile, design, m)
             }
 
-            fn k_of_m(&self, profile: &FrequencyProfile, design: SampleDesign, m: f64) -> f64 {
+            fn k_of_m(&self, profile: &Spectrum, design: SampleDesign, m: f64) -> f64 {
                 match design {
                     SampleDesign::WithReplacement => self.k_of_m_wr(profile, m),
                     SampleDesign::WithoutReplacement { n } => self.k_of_m_wor(profile, n, m),
                 }
             }
 
-            fn k_of_m_wr(&self, profile: &FrequencyProfile, m: f64) -> f64 {
+            fn k_of_m_wr(&self, profile: &Spectrum, m: f64) -> f64 {
                 let r = profile.sample_size() as f64;
                 let f1 = profile.f(1) as f64;
                 let f2 = profile.f(2) as f64;
@@ -799,7 +799,7 @@ mod tests {
                 (num + lo_num) / den
             }
 
-            fn k_of_m_wor(&self, profile: &FrequencyProfile, design_n: u64, m: f64) -> f64 {
+            fn k_of_m_wor(&self, profile: &Spectrum, design_n: u64, m: f64) -> f64 {
                 let r = profile.sample_size() as f64;
                 let f1 = profile.f(1) as f64;
                 let f2 = profile.f(2) as f64;
@@ -875,7 +875,7 @@ mod tests {
             /// `core.ae.solve_iters` (none for `f₁ = 0`).
             pub(super) fn reference_solve_m_for(
                 &self,
-                profile: &FrequencyProfile,
+                profile: &Spectrum,
                 design: SampleDesign,
             ) -> (f64, Option<u64>) {
                 let f1 = profile.f(1) as f64;
@@ -910,7 +910,7 @@ mod tests {
     /// A random sparse spectrum over a table of 1e2..1e9 rows, drawing the
     /// edge cases `f₁ = 0`, all singletons, `r = 1` and `r = 2` on purpose.
     /// A table smaller than the sample grows to the sample (a full scan).
-    fn random_sparse_profile(rng: &mut Rng) -> FrequencyProfile {
+    fn random_sparse_profile(rng: &mut Rng) -> Spectrum {
         let mut entries = std::collections::BTreeMap::new();
         match usize_in(rng, 0..8) {
             0 => {
@@ -953,7 +953,7 @@ mod tests {
         let entries: Vec<(u64, u64)> = entries.into_iter().collect();
         let r: u64 = entries.iter().map(|&(i, f)| i * f).sum();
         let n = (10f64.powf(f64_in(rng, 2.0..9.0)) as u64).max(r);
-        FrequencyProfile::from_parts(n, entries).unwrap()
+        Spectrum::from_parts(n, entries).unwrap()
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Good–Turing coverage as used by Chao–Lee).
 
 use crate::estimator::DistinctEstimator;
-use crate::profile::FrequencyProfile;
 use crate::skew::coverage_estimate;
+use crate::spectrum::Spectrum;
 use dve_numeric::poly::pow1m;
 
 /// The bootstrap estimator of Smith & van Belle (1984):
@@ -25,7 +25,7 @@ impl DistinctEstimator for Bootstrap {
         "BOOT"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let r = profile.sample_size() as f64;
         if profile.sampling_fraction() >= 1.0 {
@@ -52,7 +52,7 @@ impl DistinctEstimator for CoverageScaleUp {
         "COVERAGE"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let coverage = coverage_estimate(profile);
         if coverage <= 0.0 {
@@ -66,8 +66,8 @@ impl DistinctEstimator for CoverageScaleUp {
 mod tests {
     use super::*;
 
-    fn profile(n: u64, spectrum: Vec<u64>) -> FrequencyProfile {
-        FrequencyProfile::from_spectrum(n, spectrum).unwrap()
+    fn profile(n: u64, spectrum: Vec<u64>) -> Spectrum {
+        Spectrum::from_spectrum(n, spectrum).unwrap()
     }
 
     #[test]
@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn bootstrap_full_scan_exact() {
-        let p = FrequencyProfile::from_sample_counts(6, [3, 2, 1]).unwrap();
+        let p = Spectrum::from_sample_counts(6, [3, 2, 1]).unwrap();
         assert_eq!(Bootstrap.estimate(&p), 3.0);
     }
 

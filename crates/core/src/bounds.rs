@@ -12,7 +12,7 @@
 //! the `tab1`/`tab2` experiments.
 
 use crate::gee::Gee;
-use crate::profile::FrequencyProfile;
+use crate::spectrum::Spectrum;
 
 /// The `[LOWER, UPPER]` confidence interval the GEE analysis provides,
 /// together with the point estimate it surrounds.
@@ -49,14 +49,14 @@ impl ConfidenceInterval {
 /// Computes the GEE estimate with its `[LOWER, UPPER]` interval.
 ///
 /// ```
-/// use dve_core::{bounds::gee_confidence_interval, profile::FrequencyProfile};
-/// let p = FrequencyProfile::from_spectrum(10_000, vec![40, 30]).unwrap();
+/// use dve_core::{bounds::gee_confidence_interval, Spectrum};
+/// let p = Spectrum::from_spectrum(10_000, vec![40, 30]).unwrap();
 /// let ci = gee_confidence_interval(&p);
 /// assert_eq!(ci.lower, 70.0);                 // d
 /// assert_eq!(ci.upper, 30.0 + 100.0 * 40.0);  // Σ_{i>1} f_i + (n/r) f1
 /// assert!(ci.lower <= ci.estimate && ci.estimate <= ci.upper);
 /// ```
-pub fn gee_confidence_interval(profile: &FrequencyProfile) -> ConfidenceInterval {
+pub fn gee_confidence_interval(profile: &Spectrum) -> ConfidenceInterval {
     use crate::estimator::DistinctEstimator;
     // GEE's `estimate_full` is the single source of the §4 bounds; this
     // view re-shapes it for callers that want the interval type. The
@@ -79,7 +79,7 @@ mod tests {
 
     #[test]
     fn interval_brackets_estimate() {
-        let p = FrequencyProfile::from_spectrum(1_000_000, vec![500, 200, 100]).unwrap();
+        let p = Spectrum::from_spectrum(1_000_000, vec![500, 200, 100]).unwrap();
         let ci = gee_confidence_interval(&p);
         assert!(ci.lower <= ci.estimate);
         assert!(ci.estimate <= ci.upper);
@@ -88,7 +88,7 @@ mod tests {
     #[test]
     fn lower_is_d_upper_is_scaled() {
         // n = 1000, r = 10 (f1 = 4, f3 = 2): d = 6, scale = 100.
-        let p = FrequencyProfile::from_spectrum(1_000, vec![4, 0, 2]).unwrap();
+        let p = Spectrum::from_spectrum(1_000, vec![4, 0, 2]).unwrap();
         let ci = gee_confidence_interval(&p);
         assert_eq!(ci.lower, 6.0);
         assert_eq!(ci.upper, 2.0 + 100.0 * 4.0);
@@ -97,14 +97,14 @@ mod tests {
     #[test]
     fn upper_clamped_to_table_size() {
         // All singletons with a huge scale: UPPER must not exceed n.
-        let p = FrequencyProfile::from_spectrum(50, vec![10]).unwrap();
+        let p = Spectrum::from_spectrum(50, vec![10]).unwrap();
         let ci = gee_confidence_interval(&p);
         assert_eq!(ci.upper, 50.0);
     }
 
     #[test]
     fn no_singletons_collapses_interval_to_d() {
-        let p = FrequencyProfile::from_spectrum(1_000, vec![0, 30]).unwrap();
+        let p = Spectrum::from_spectrum(1_000, vec![0, 30]).unwrap();
         let ci = gee_confidence_interval(&p);
         assert_eq!(ci.lower, 30.0);
         assert_eq!(ci.upper, 30.0);
@@ -117,8 +117,8 @@ mod tests {
     fn width_shrinks_with_sampling_fraction() {
         // Fix the per-class truth and grow the sample: the spectrum shifts
         // mass away from f1, so the interval tightens.
-        let wide = FrequencyProfile::from_spectrum(10_000, vec![90, 5]).unwrap();
-        let tight = FrequencyProfile::from_spectrum(10_000, vec![10, 45, 300]).unwrap();
+        let wide = Spectrum::from_spectrum(10_000, vec![90, 5]).unwrap();
+        let tight = Spectrum::from_spectrum(10_000, vec![10, 45, 300]).unwrap();
         let ci_wide = gee_confidence_interval(&wide);
         let ci_tight = gee_confidence_interval(&tight);
         assert!(ci_tight.relative_width() < ci_wide.relative_width());
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn full_sample_interval_is_exact() {
-        let p = FrequencyProfile::from_sample_counts(6, [3, 2, 1]).unwrap();
+        let p = Spectrum::from_sample_counts(6, [3, 2, 1]).unwrap();
         let ci = gee_confidence_interval(&p);
         // q = 1: LOWER = d = 3, UPPER = Σ_{i>1} f_i + 1·f1 = 3.
         assert_eq!(ci.lower, 3.0);

@@ -9,8 +9,8 @@
 //!   correction through the squared CV of class sizes.
 
 use crate::estimator::DistinctEstimator;
-use crate::profile::FrequencyProfile;
 use crate::skew::{coverage_estimate, squared_cv_estimate_infinite};
+use crate::spectrum::Spectrum;
 
 /// Chao's 1984 estimator `D̂ = d + f₁²/(2·f₂)`.
 ///
@@ -24,7 +24,7 @@ impl DistinctEstimator for Chao {
         "CHAO"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let f1 = profile.f(1) as f64;
         let f2 = profile.f(2) as f64;
@@ -55,7 +55,7 @@ impl DistinctEstimator for ChaoLee {
         "CHAOLEE"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let r = profile.sample_size() as f64;
         let coverage = coverage_estimate(profile);
@@ -72,8 +72,8 @@ impl DistinctEstimator for ChaoLee {
 mod tests {
     use super::*;
 
-    fn profile(n: u64, spectrum: Vec<u64>) -> FrequencyProfile {
-        FrequencyProfile::from_spectrum(n, spectrum).unwrap()
+    fn profile(n: u64, spectrum: Vec<u64>) -> Spectrum {
+        Spectrum::from_spectrum(n, spectrum).unwrap()
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::design::SampleDesign;
 use crate::estimator::{DistinctEstimator, Estimation};
-use crate::profile::FrequencyProfile;
+use crate::spectrum::Spectrum;
 
 /// The Guaranteed-Error Estimator.
 ///
@@ -61,7 +61,7 @@ impl Gee {
     }
 
     /// The coefficient applied to `f₁` for a given profile.
-    pub fn singleton_coefficient(&self, profile: &FrequencyProfile) -> f64 {
+    pub fn singleton_coefficient(&self, profile: &Spectrum) -> f64 {
         let scale = profile.table_size() as f64 / profile.sample_size() as f64;
         scale.powf(self.singleton_exponent)
     }
@@ -72,7 +72,7 @@ impl DistinctEstimator for Gee {
         "GEE"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let f1 = profile.f(1) as f64;
         let d = profile.distinct_in_sample() as f64;
         // d - f1 = Σ_{i≥2} f_i.
@@ -86,7 +86,7 @@ impl DistinctEstimator for Gee {
     /// the singleton exponent or the sampling design (both bound
     /// arguments hold under either design), so every `Gee` variant
     /// reports the same interval.
-    fn estimate_full(&self, profile: &FrequencyProfile, _design: SampleDesign) -> Estimation {
+    fn estimate_full(&self, profile: &Spectrum, _design: SampleDesign) -> Estimation {
         let d = profile.distinct_in_sample() as f64;
         let f1 = profile.f(1) as f64;
         let n = profile.table_size() as f64;
@@ -111,28 +111,28 @@ mod tests {
     fn formula_matches_paper() {
         // n = 10_000, r = 100 → sqrt(n/r) = 10.
         // Spectrum: f1 = 40, f2 = 30 → d = 70, r = 100.
-        let p = FrequencyProfile::from_spectrum(10_000, vec![40, 30]).unwrap();
+        let p = Spectrum::from_spectrum(10_000, vec![40, 30]).unwrap();
         let est = Gee::default().estimate_raw(&p);
         assert!((est - (10.0 * 40.0 + 30.0)).abs() < 1e-9);
     }
 
     #[test]
     fn no_singletons_returns_d() {
-        let p = FrequencyProfile::from_spectrum(10_000, vec![0, 50]).unwrap();
+        let p = Spectrum::from_spectrum(10_000, vec![0, 50]).unwrap();
         assert_eq!(Gee::default().estimate(&p), 50.0);
     }
 
     #[test]
     fn all_singletons_scales_by_sqrt() {
         // r = 100 singletons from n = 10_000: D̂ = 10 · 100 = 1000.
-        let p = FrequencyProfile::from_spectrum(10_000, vec![100]).unwrap();
+        let p = Spectrum::from_spectrum(10_000, vec![100]).unwrap();
         assert_eq!(Gee::default().estimate(&p), 1000.0);
     }
 
     #[test]
     fn full_sample_is_exact() {
         // r = n: coefficient is 1, estimate = d = D.
-        let p = FrequencyProfile::from_sample_counts(6, [3, 2, 1]).unwrap();
+        let p = Spectrum::from_sample_counts(6, [3, 2, 1]).unwrap();
         assert_eq!(Gee::default().estimate(&p), 3.0);
     }
 
@@ -142,7 +142,7 @@ mod tests {
         // n = 8, r = 2, f1 = 2 → raw = 2·2 = 4 ≤ 8 fine; craft overflow:
         // n = 4, r = 2, f1 = 2 → raw = sqrt(2)·2 ≈ 2.83 ≤ 4. The clamp is
         // easiest to exercise via the exponent-1 variant: coeff = 2 → 4 = n.
-        let p = FrequencyProfile::from_spectrum(4, vec![2]).unwrap();
+        let p = Spectrum::from_spectrum(4, vec![2]).unwrap();
         let upper = Gee::with_singleton_exponent(1.0);
         assert_eq!(upper.estimate(&p), 4.0);
     }
@@ -150,7 +150,7 @@ mod tests {
     #[test]
     fn exponent_bounds_ordering() {
         // LOWER-ish (e=0) ≤ GEE (e=0.5) ≤ UPPER-ish (e=1) whenever f1 > 0.
-        let p = FrequencyProfile::from_spectrum(100_000, vec![50, 20, 5]).unwrap();
+        let p = Spectrum::from_spectrum(100_000, vec![50, 20, 5]).unwrap();
         let lo = Gee::with_singleton_exponent(0.0).estimate_raw(&p);
         let mid = Gee::default().estimate_raw(&p);
         let hi = Gee::with_singleton_exponent(1.0).estimate_raw(&p);
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn estimate_full_carries_paper_bounds() {
         // n = 10_000, r = 100, f1 = 40, f2 = 30 → d = 70, scale = 100.
-        let p = FrequencyProfile::from_spectrum(10_000, vec![40, 30]).unwrap();
+        let p = Spectrum::from_spectrum(10_000, vec![40, 30]).unwrap();
         let full = Gee::default().estimate_full(&p, SampleDesign::WithReplacement);
         assert_eq!(full.estimator, "GEE");
         assert_eq!((full.d, full.r, full.n), (70, 100, 10_000));
@@ -182,7 +182,7 @@ mod tests {
             full
         );
         // The upper bound is clamped to n.
-        let all_singletons = FrequencyProfile::from_spectrum(50, vec![10]).unwrap();
+        let all_singletons = Spectrum::from_spectrum(50, vec![10]).unwrap();
         let (_, upper) = Gee::default()
             .estimate_full(&all_singletons, SampleDesign::WithReplacement)
             .interval
@@ -200,7 +200,7 @@ mod tests {
         let mut spectrum = vec![0u64; 990];
         spectrum[0] = 10; // f1 = 10
         spectrum[989] = 1; // f990 = 1
-        let p = FrequencyProfile::from_spectrum(n, spectrum).unwrap();
+        let p = Spectrum::from_spectrum(n, spectrum).unwrap();
         assert_eq!(p.sample_size(), r);
         let est = Gee::default().estimate(&p);
         // True D might be anywhere in [11, ~1000]; the estimate

@@ -16,7 +16,7 @@
 //! its variance exploding while its mean stays centered.
 
 use crate::estimator::DistinctEstimator;
-use crate::profile::FrequencyProfile;
+use crate::spectrum::Spectrum;
 use dve_numeric::special::ln_choose;
 
 /// Goodman's unbiased estimator (sampling without replacement).
@@ -28,7 +28,7 @@ impl DistinctEstimator for Goodman {
         "GOODMAN"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let n = profile.table_size();
         let r = profile.sample_size();
         let d = profile.distinct_in_sample() as f64;
@@ -67,7 +67,7 @@ mod tests {
             for j in (i + 1)..n {
                 for k in (j + 1)..n {
                     let sample = [rows[i], rows[j], rows[k]];
-                    let p = FrequencyProfile::from_values(n as u64, sample).unwrap();
+                    let p = Spectrum::from_values(n as u64, sample).unwrap();
                     assert_eq!(p.sample_size(), r as u64);
                     total += Goodman.estimate_raw(&p);
                     count += 1.0;
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn full_scan_returns_d() {
-        let p = FrequencyProfile::from_sample_counts(6, [3, 2, 1]).unwrap();
+        let p = Spectrum::from_sample_counts(6, [3, 2, 1]).unwrap();
         assert_eq!(Goodman.estimate(&p), 3.0);
     }
 
@@ -92,7 +92,7 @@ mod tests {
         // n = 10_000, r = 10, one doubleton and 8 singletons: the i = 2
         // weight is ≈ C(9991, 2)/C(10, 2) ≈ 1.1e6 — raw estimate is wildly
         // negative, demonstrating the variance pathology.
-        let p = FrequencyProfile::from_spectrum(10_000, vec![8, 1]).unwrap();
+        let p = Spectrum::from_spectrum(10_000, vec![8, 1]).unwrap();
         let raw = Goodman.estimate_raw(&p);
         assert!(raw < -100_000.0, "raw = {raw}");
         // The clamp saves the caller.
@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn all_singletons_gives_huge_positive() {
-        let p = FrequencyProfile::from_spectrum(10_000, vec![10]).unwrap();
+        let p = Spectrum::from_spectrum(10_000, vec![10]).unwrap();
         let raw = Goodman.estimate_raw(&p);
         assert!(raw > 5_000.0, "raw = {raw}");
         assert_eq!(

@@ -18,9 +18,9 @@
 use crate::estimator::DistinctEstimator;
 use crate::gee::Gee;
 use crate::jackknife::{Duj2a, SmoothedJackknife, UnsmoothedJackknife1};
-use crate::profile::FrequencyProfile;
 use crate::shlosser::{ModifiedShlosser, Shlosser};
 use crate::skew::{skew_test, squared_cv_estimate};
+use crate::spectrum::Spectrum;
 
 /// Which branch a hybrid estimator selected for a given sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +72,7 @@ impl HybSkew {
     }
 
     /// Which branch fires for this profile.
-    pub fn decision(&self, profile: &FrequencyProfile) -> HybridDecision {
+    pub fn decision(&self, profile: &Spectrum) -> HybridDecision {
         if skew_test(profile, self.alpha).high_skew {
             HybridDecision::HighSkew
         } else {
@@ -86,7 +86,7 @@ impl DistinctEstimator for HybSkew {
         "HYBSKEW"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         match self.decision(profile) {
             HybridDecision::HighSkew => Shlosser.estimate_raw(profile),
             _ => SmoothedJackknife.estimate_raw(profile),
@@ -125,7 +125,7 @@ impl HybGee {
     }
 
     /// Which branch fires for this profile.
-    pub fn decision(&self, profile: &FrequencyProfile) -> HybridDecision {
+    pub fn decision(&self, profile: &Spectrum) -> HybridDecision {
         if skew_test(profile, self.alpha).high_skew {
             HybridDecision::HighSkew
         } else {
@@ -139,7 +139,7 @@ impl DistinctEstimator for HybGee {
         "HYBGEE"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         match self.decision(profile) {
             HybridDecision::HighSkew => Gee::default().estimate_raw(profile),
             _ => SmoothedJackknife.estimate_raw(profile),
@@ -196,7 +196,7 @@ impl HybVar {
     }
 
     /// Which branch fires for this profile.
-    pub fn decision(&self, profile: &FrequencyProfile) -> HybridDecision {
+    pub fn decision(&self, profile: &Spectrum) -> HybridDecision {
         let seed = UnsmoothedJackknife1.estimate(profile);
         let gamma2 = squared_cv_estimate(profile, seed);
         if gamma2 <= self.low {
@@ -214,7 +214,7 @@ impl DistinctEstimator for HybVar {
         "HYBVAR"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         match self.decision(profile) {
             HybridDecision::LowSkew => UnsmoothedJackknife1.estimate_raw(profile),
             HybridDecision::ModerateSkew => Duj2a::default().estimate_raw(profile),
@@ -239,17 +239,17 @@ mod tests {
         spectrum
     }
 
-    fn skewed_profile() -> FrequencyProfile {
+    fn skewed_profile() -> Spectrum {
         // One huge class + singletons: unmistakably high skew.
         let mut s = vec![0u64; 900];
         s[0] = 100;
         s[899] = 1;
-        FrequencyProfile::from_spectrum(1_000_000, s).unwrap()
+        Spectrum::from_spectrum(1_000_000, s).unwrap()
     }
 
-    fn uniform_profile() -> FrequencyProfile {
+    fn uniform_profile() -> Spectrum {
         let s = uniform_expected_spectrum(10_000, 100, 0.008);
-        FrequencyProfile::from_spectrum(1_000_000, s).unwrap()
+        Spectrum::from_spectrum(1_000_000, s).unwrap()
     }
 
     #[test]

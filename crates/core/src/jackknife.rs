@@ -19,8 +19,8 @@
 //!   counted exactly, `Duj2` is applied to the rest.
 
 use crate::estimator::DistinctEstimator;
-use crate::profile::FrequencyProfile;
 use crate::skew::squared_cv_estimate;
+use crate::spectrum::Spectrum;
 use dve_numeric::poly::pow1m;
 use dve_numeric::roots::brent;
 
@@ -34,7 +34,7 @@ impl DistinctEstimator for FirstOrderJackknife {
         "JACK1"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let r = profile.sample_size() as f64;
         let f1 = profile.f(1) as f64;
@@ -52,7 +52,7 @@ impl DistinctEstimator for SecondOrderJackknife {
         "JACK2"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let r = profile.sample_size() as f64;
         let f1 = profile.f(1) as f64;
@@ -78,7 +78,7 @@ impl DistinctEstimator for UnsmoothedJackknife1 {
         "DUJ1"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let r = profile.sample_size() as f64;
         let q = profile.sampling_fraction();
@@ -117,7 +117,7 @@ impl SmoothedJackknife {
     /// Solves the method-of-moments equation for the common class size
     /// `ñ`. Exposed for the method-of-moments estimator, which reports
     /// `n/ñ̂` directly.
-    pub fn solve_class_size(profile: &FrequencyProfile) -> f64 {
+    pub fn solve_class_size(profile: &Spectrum) -> f64 {
         let n = profile.table_size() as f64;
         let d = profile.distinct_in_sample() as f64;
         let q = profile.sampling_fraction();
@@ -144,7 +144,7 @@ impl DistinctEstimator for SmoothedJackknife {
         "SJACK"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let q = profile.sampling_fraction();
         let f1 = profile.f(1) as f64;
@@ -172,7 +172,7 @@ impl DistinctEstimator for UnsmoothedJackknife2 {
         "DUJ2"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let r = profile.sample_size() as f64;
         let q = profile.sampling_fraction();
@@ -232,7 +232,7 @@ impl DistinctEstimator for Duj2a {
         "DUJ2A"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let q = profile.sampling_fraction();
         let d = profile.distinct_in_sample() as f64;
         if q >= 1.0 {
@@ -250,7 +250,7 @@ impl DistinctEstimator for Duj2a {
         let abundant_rows_in_pop = abundant_rows_in_sample / q;
         let n_rare =
             ((profile.table_size() as f64) - abundant_rows_in_pop).max(rare.sample_size() as f64);
-        let rare = match FrequencyProfile::from_spectrum(n_rare.round() as u64, rare.to_dense()) {
+        let rare = match Spectrum::from_spectrum(n_rare.round() as u64, rare.to_dense()) {
             Ok(p) => p,
             Err(_) => return d,
         };
@@ -264,8 +264,8 @@ mod tests {
     use super::*;
     use crate::estimator::DistinctEstimator;
 
-    fn profile(n: u64, spectrum: Vec<u64>) -> FrequencyProfile {
-        FrequencyProfile::from_spectrum(n, spectrum).unwrap()
+    fn profile(n: u64, spectrum: Vec<u64>) -> Spectrum {
+        Spectrum::from_spectrum(n, spectrum).unwrap()
     }
 
     #[test]
@@ -319,7 +319,7 @@ mod tests {
         // Fix up r by adding leftover rows as one extra class.
         let r_now: u64 = f1 + mean_mult * rest_classes;
         assert!(r_now <= r_target + mean_mult);
-        let p = FrequencyProfile::from_spectrum(n, spectrum).unwrap();
+        let p = Spectrum::from_spectrum(n, spectrum).unwrap();
         let est = SmoothedJackknife.estimate(&p);
         let err = crate::error::ratio_error(est, d_true);
         assert!(
@@ -340,7 +340,7 @@ mod tests {
 
     #[test]
     fn smoothed_jackknife_full_scan() {
-        let p = FrequencyProfile::from_sample_counts(4, [2, 2]).unwrap();
+        let p = Spectrum::from_sample_counts(4, [2, 2]).unwrap();
         assert_eq!(SmoothedJackknife.estimate(&p), 2.0);
     }
 
@@ -425,7 +425,7 @@ mod tests {
 
     #[test]
     fn full_scan_everything_returns_d() {
-        let p = FrequencyProfile::from_sample_counts(6, [3, 2, 1]).unwrap();
+        let p = Spectrum::from_sample_counts(6, [3, 2, 1]).unwrap();
         for est in [
             &SmoothedJackknife as &dyn DistinctEstimator,
             &UnsmoothedJackknife2,

@@ -45,11 +45,11 @@
 //! use dve_core::estimator::DistinctEstimator;
 //! use dve_core::gee::Gee;
 //! use dve_core::bounds::gee_confidence_interval;
-//! use dve_core::profile::FrequencyProfile;
+//! use dve_core::Spectrum;
 //!
 //! // n = 1M rows; sample of r = 2000 rows saw 800 singletons, 350
 //! // doubletons, and 100 values 5 times each.
-//! let profile = FrequencyProfile::from_spectrum(
+//! let profile = Spectrum::from_spectrum(
 //!     1_000_000,
 //!     vec![800, 350, 0, 0, 100],
 //! ).unwrap();
@@ -77,7 +77,6 @@ pub mod hybrid;
 pub mod jackknife;
 pub mod mom;
 pub mod naive;
-pub mod profile;
 pub mod registry;
 pub mod shlosser;
 pub mod skew;
@@ -92,6 +91,5 @@ pub use estimator::{sanity_clamp, DistinctEstimator, Estimation};
 pub use gee::Gee;
 pub use hash::{hash_bytes, mix64, FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use hybrid::{HybGee, HybSkew, HybVar};
-pub use profile::{FrequencyProfile, ProfileError};
 pub use registry::UnknownEstimator;
 pub use spectrum::{Spectrum, SpectrumBuilder, SpectrumError};

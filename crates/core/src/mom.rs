@@ -15,7 +15,7 @@
 
 use crate::estimator::DistinctEstimator;
 use crate::jackknife::SmoothedJackknife;
-use crate::profile::FrequencyProfile;
+use crate::spectrum::Spectrum;
 use dve_numeric::roots::brent;
 
 /// Finite-population method-of-moments estimator: `D̂ = n / ñ̂` where `ñ̂`
@@ -28,7 +28,7 @@ impl DistinctEstimator for MethodOfMoments {
         "MOM"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let n = profile.table_size() as f64;
         if profile.sampling_fraction() >= 1.0 {
             return profile.distinct_in_sample() as f64;
@@ -48,7 +48,7 @@ impl DistinctEstimator for MethodOfMomentsInfinite {
         "MOM-INF"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let r = profile.sample_size() as f64;
         let n = profile.table_size() as f64;
@@ -82,7 +82,7 @@ mod tests {
         s[9] = 60; // 60 classes seen 10 times
         s[10] = 30; // 30 classes seen 11 times  (r = 600 + 330 + ...)
         s[19] = 5; // 5 seen 20 times
-        let p = FrequencyProfile::from_spectrum(100_000, s).unwrap();
+        let p = Spectrum::from_spectrum(100_000, s).unwrap();
         // d = 95, r = 1030. The equal-size model gives ñ ≈ n·q·.../d...
         let est = MethodOfMoments.estimate(&p);
         // All classes seen ⇒ estimate should be close to d.
@@ -96,7 +96,7 @@ mod tests {
         let mut s = vec![0u64; 2];
         s[0] = 90;
         s[1] = 5; // 5 doubletons: d = 95, r = 100
-        let p = FrequencyProfile::from_spectrum(1_000_000, s).unwrap();
+        let p = Spectrum::from_spectrum(1_000_000, s).unwrap();
         let est = MethodOfMomentsInfinite.estimate_raw(&p);
         // Verify it satisfies the moment equation.
         let resid = est * (1.0 - (-100.0 / est).exp()) - 95.0;
@@ -106,19 +106,19 @@ mod tests {
 
     #[test]
     fn infinite_mom_all_distinct_clamps_to_n() {
-        let p = FrequencyProfile::from_spectrum(5_000, vec![50]).unwrap();
+        let p = Spectrum::from_spectrum(5_000, vec![50]).unwrap();
         assert_eq!(MethodOfMomentsInfinite.estimate(&p), 5_000.0);
     }
 
     #[test]
     fn full_scan_exact() {
-        let p = FrequencyProfile::from_sample_counts(6, [3, 2, 1]).unwrap();
+        let p = Spectrum::from_sample_counts(6, [3, 2, 1]).unwrap();
         assert_eq!(MethodOfMoments.estimate(&p), 3.0);
     }
 
     #[test]
     fn estimators_within_sanity_bounds() {
-        let p = FrequencyProfile::from_spectrum(10_000, vec![20, 10, 3]).unwrap();
+        let p = Spectrum::from_spectrum(10_000, vec![20, 10, 3]).unwrap();
         for e in [
             &MethodOfMoments as &dyn DistinctEstimator,
             &MethodOfMomentsInfinite,

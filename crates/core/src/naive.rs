@@ -6,7 +6,7 @@
 //! spectrum whose geometric midpoint GEE takes.
 
 use crate::estimator::DistinctEstimator;
-use crate::profile::FrequencyProfile;
+use crate::spectrum::Spectrum;
 
 /// Returns `d`, the number of distinct values in the sample, unchanged.
 /// Always an underestimate (or exact); equals the paper's LOWER bound.
@@ -18,7 +18,7 @@ impl DistinctEstimator for SampleDistinct {
         "SAMPLE-D"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         profile.distinct_in_sample() as f64
     }
 }
@@ -35,7 +35,7 @@ impl DistinctEstimator for LinearScaleUp {
         "SCALEUP"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let f1 = profile.f(1) as f64;
         let scale = profile.table_size() as f64 / profile.sample_size() as f64;
@@ -51,20 +51,20 @@ mod tests {
 
     #[test]
     fn sample_distinct_is_d() {
-        let p = FrequencyProfile::from_spectrum(1_000, vec![3, 2]).unwrap();
+        let p = Spectrum::from_spectrum(1_000, vec![3, 2]).unwrap();
         assert_eq!(SampleDistinct.estimate(&p), 5.0);
     }
 
     #[test]
     fn scale_up_matches_upper_bound() {
-        let p = FrequencyProfile::from_spectrum(1_000, vec![4, 0, 2]).unwrap();
+        let p = Spectrum::from_spectrum(1_000, vec![4, 0, 2]).unwrap();
         let ci = gee_confidence_interval(&p);
         assert_eq!(LinearScaleUp.estimate(&p), ci.upper);
     }
 
     #[test]
     fn gee_is_between_the_two_naive_baselines() {
-        let p = FrequencyProfile::from_spectrum(100_000, vec![40, 10, 2]).unwrap();
+        let p = Spectrum::from_spectrum(100_000, vec![40, 10, 2]).unwrap();
         let lo = SampleDistinct.estimate(&p);
         let hi = LinearScaleUp.estimate(&p);
         let gee = Gee::default().estimate(&p);

@@ -221,14 +221,14 @@ impl DistinctEstimator for Instrumented {
         self.inner.name()
     }
 
-    fn estimate_raw(&self, profile: &crate::profile::FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &crate::spectrum::Spectrum) -> f64 {
         self.calls.inc();
         dve_obs::time(&self.latency, || self.inner.estimate_raw(profile))
     }
 
     fn estimate_raw_for(
         &self,
-        profile: &crate::profile::FrequencyProfile,
+        profile: &crate::spectrum::Spectrum,
         design: crate::design::SampleDesign,
     ) -> f64 {
         // Delegate so design-aware overrides (AE's hypergeometric form)
@@ -241,7 +241,7 @@ impl DistinctEstimator for Instrumented {
 
     fn estimate_full(
         &self,
-        profile: &crate::profile::FrequencyProfile,
+        profile: &crate::spectrum::Spectrum,
         design: crate::design::SampleDesign,
     ) -> Estimation {
         // Delegate so estimator-specific intervals (GEE's bounds)
@@ -287,7 +287,7 @@ impl DistinctEstimator for Audited {
         self.inner.name()
     }
 
-    fn estimate_raw(&self, profile: &crate::profile::FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &crate::spectrum::Spectrum) -> f64 {
         // Audit the clamped estimate — the value callers act on. The
         // outer clamp in `estimate()` is then a no-op.
         let v = self.inner.estimate(profile);
@@ -300,7 +300,7 @@ impl DistinctEstimator for Audited {
 
     fn estimate_raw_for(
         &self,
-        profile: &crate::profile::FrequencyProfile,
+        profile: &crate::spectrum::Spectrum,
         design: crate::design::SampleDesign,
     ) -> f64 {
         let v = self.inner.estimate_for(profile, design);
@@ -313,7 +313,7 @@ impl DistinctEstimator for Audited {
 
     fn estimate_full(
         &self,
-        profile: &crate::profile::FrequencyProfile,
+        profile: &crate::spectrum::Spectrum,
         design: crate::design::SampleDesign,
     ) -> Estimation {
         let full = self.inner.estimate_full(profile, design);
@@ -355,7 +355,7 @@ pub fn by_names_strict_instrumented(names: &[&str]) -> Vec<Box<dyn DistinctEstim
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::FrequencyProfile;
+    use crate::spectrum::Spectrum;
 
     #[test]
     fn every_registered_name_resolves() {
@@ -426,7 +426,7 @@ mod tests {
 
     #[test]
     fn every_estimator_is_sane_on_a_generic_profile() {
-        let p = FrequencyProfile::from_spectrum(100_000, vec![30, 12, 4, 1]).unwrap();
+        let p = Spectrum::from_spectrum(100_000, vec![30, 12, 4, 1]).unwrap();
         let d = p.distinct_in_sample() as f64;
         let n = p.table_size() as f64;
         for name in ALL_ESTIMATORS {
@@ -447,7 +447,7 @@ mod tests {
 
     #[test]
     fn instrumented_estimates_match_and_record() {
-        let p = FrequencyProfile::from_spectrum(100_000, vec![30, 12, 4, 1]).unwrap();
+        let p = Spectrum::from_spectrum(100_000, vec![30, 12, 4, 1]).unwrap();
         let plain = by_name("GEE").unwrap();
         let wrapped = by_name_instrumented("GEE").unwrap();
         assert_eq!(wrapped.name(), "GEE");
@@ -470,7 +470,7 @@ mod tests {
     #[test]
     fn instrumented_estimate_full_preserves_interval_and_records() {
         let wr = crate::design::SampleDesign::WithReplacement;
-        let p = FrequencyProfile::from_spectrum(100_000, vec![30, 12, 4, 1]).unwrap();
+        let p = Spectrum::from_spectrum(100_000, vec![30, 12, 4, 1]).unwrap();
         let plain = by_name("GEE").unwrap().estimate_full(&p, wr);
         let calls_before = dve_obs::global()
             .counter_labeled("core.estimate.calls", "GEE")
@@ -493,7 +493,7 @@ mod tests {
 
     #[test]
     fn audited_passes_estimates_through_and_records_ratio() {
-        let p = FrequencyProfile::from_spectrum(100_000, vec![30, 12, 4, 1]).unwrap();
+        let p = Spectrum::from_spectrum(100_000, vec![30, 12, 4, 1]).unwrap();
         let plain = by_name("GEE").unwrap();
         let expected = plain.estimate(&p);
         // Truth chosen so the estimate is off by a known factor.
@@ -515,7 +515,7 @@ mod tests {
     #[test]
     fn audited_estimate_full_passes_through_and_records() {
         let wr = crate::design::SampleDesign::WithReplacement;
-        let p = FrequencyProfile::from_spectrum(100_000, vec![30, 12, 4, 1]).unwrap();
+        let p = Spectrum::from_spectrum(100_000, vec![30, 12, 4, 1]).unwrap();
         let expected = by_name("AE").unwrap().estimate_full(&p, wr);
         let audited = audit_against(by_name("AE").unwrap(), expected.estimate.max(1.0));
         let hist = dve_obs::audit::ratio_error_histogram("AE");
@@ -528,7 +528,7 @@ mod tests {
     fn wrappers_forward_the_design_to_ae() {
         // A 20% WOR sample: AE's hypergeometric form must survive both
         // the instrumentation and the audit wrapper.
-        let p = FrequencyProfile::from_spectrum(1_000, vec![80, 40, 15, 5]).unwrap();
+        let p = Spectrum::from_spectrum(1_000, vec![80, 40, 15, 5]).unwrap();
         let design = crate::design::SampleDesign::wor(1_000);
         let plain = by_name("AE").unwrap().estimate_for(&p, design);
         let instrumented = by_name_instrumented("AE").unwrap();

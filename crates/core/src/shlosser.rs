@@ -27,7 +27,7 @@
 //! provenance note on baseline formulas).
 
 use crate::estimator::DistinctEstimator;
-use crate::profile::FrequencyProfile;
+use crate::spectrum::Spectrum;
 use dve_numeric::poly::pow1m;
 
 /// Shlosser's 1981 estimator for Bernoulli samples at rate `q = r/n`.
@@ -39,7 +39,7 @@ impl DistinctEstimator for Shlosser {
         "SHLOSSER"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let q = profile.sampling_fraction();
         let f1 = profile.f(1) as f64;
@@ -70,7 +70,7 @@ impl DistinctEstimator for ModifiedShlosser {
         "SHLOSSER3"
     }
 
-    fn estimate_raw(&self, profile: &FrequencyProfile) -> f64 {
+    fn estimate_raw(&self, profile: &Spectrum) -> f64 {
         let d = profile.distinct_in_sample() as f64;
         let q = profile.sampling_fraction();
         let f1 = profile.f(1) as f64;
@@ -99,8 +99,8 @@ impl DistinctEstimator for ModifiedShlosser {
 mod tests {
     use super::*;
 
-    fn profile(n: u64, spectrum: Vec<u64>) -> FrequencyProfile {
-        FrequencyProfile::from_spectrum(n, spectrum).unwrap()
+    fn profile(n: u64, spectrum: Vec<u64>) -> Spectrum {
+        Spectrum::from_spectrum(n, spectrum).unwrap()
     }
 
     #[test]
@@ -123,7 +123,7 @@ mod tests {
 
     #[test]
     fn full_scan_returns_d() {
-        let p = FrequencyProfile::from_sample_counts(6, [3, 2, 1]).unwrap();
+        let p = Spectrum::from_sample_counts(6, [3, 2, 1]).unwrap();
         assert_eq!(Shlosser.estimate(&p), 3.0);
         assert_eq!(ModifiedShlosser.estimate(&p), 3.0);
     }

@@ -11,7 +11,7 @@
 //!   sizes (Chao–Lee / Haas–Stokes) — DUJ2A corrects with it and HYBVAR
 //!   selects its constituent estimator by thresholding it.
 
-use crate::profile::FrequencyProfile;
+use crate::spectrum::Spectrum;
 use dve_numeric::chisq::chi2_sf;
 
 /// Result of the sample-skew χ² test.
@@ -41,7 +41,7 @@ pub struct SkewTest {
 /// # Panics
 ///
 /// Panics if `alpha` is not in `(0, 1)`.
-pub fn skew_test(profile: &FrequencyProfile, alpha: f64) -> SkewTest {
+pub fn skew_test(profile: &Spectrum, alpha: f64) -> SkewTest {
     assert!(
         alpha > 0.0 && alpha < 1.0,
         "significance level must be in (0,1), got {alpha}"
@@ -84,7 +84,7 @@ pub fn skew_test(profile: &FrequencyProfile, alpha: f64) -> SkewTest {
 /// ```
 ///
 /// Returns 0 for `r < 2` (no pair information in the sample).
-pub fn squared_cv_estimate(profile: &FrequencyProfile, d_hat: f64) -> f64 {
+pub fn squared_cv_estimate(profile: &Spectrum, d_hat: f64) -> f64 {
     let r = profile.sample_size();
     if r < 2 {
         return 0.0;
@@ -102,7 +102,7 @@ pub fn squared_cv_estimate(profile: &FrequencyProfile, d_hat: f64) -> f64 {
 /// Infinite-population variant of [`squared_cv_estimate`], as used by the
 /// classical Chao–Lee estimator: `γ̂² = max{0, d_hat · Σ i(i−1)f_i /
 /// (r(r−1)) − 1}`.
-pub fn squared_cv_estimate_infinite(profile: &FrequencyProfile, d_hat: f64) -> f64 {
+pub fn squared_cv_estimate_infinite(profile: &Spectrum, d_hat: f64) -> f64 {
     let r = profile.sample_size();
     if r < 2 {
         return 0.0;
@@ -119,7 +119,7 @@ pub fn squared_cv_estimate_infinite(profile: &FrequencyProfile, d_hat: f64) -> f
 /// fraction of the population mass belonging to classes seen in the
 /// sample. Feeds Chao–Lee and gives examples a human-readable
 /// "how much of the data have we effectively seen" number.
-pub fn coverage_estimate(profile: &FrequencyProfile) -> f64 {
+pub fn coverage_estimate(profile: &Spectrum) -> f64 {
     1.0 - profile.f(1) as f64 / profile.sample_size() as f64
 }
 
@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn uniform_counts_are_low_skew() {
         // 50 classes each seen 4 times: perfectly uniform.
-        let p = FrequencyProfile::from_spectrum(100_000, {
+        let p = Spectrum::from_spectrum(100_000, {
             let mut s = vec![0u64; 4];
             s[3] = 50;
             s
@@ -147,14 +147,14 @@ mod tests {
         let mut s = vec![0u64; 500];
         s[0] = 50;
         s[499] = 1;
-        let p = FrequencyProfile::from_spectrum(100_000, s).unwrap();
+        let p = Spectrum::from_spectrum(100_000, s).unwrap();
         let t = skew_test(&p, 0.05);
         assert!(t.high_skew, "stat {} p-value {}", t.statistic, t.p_value);
     }
 
     #[test]
     fn single_class_does_not_reject() {
-        let p = FrequencyProfile::from_spectrum(100_000, {
+        let p = Spectrum::from_spectrum(100_000, {
             let mut s = vec![0u64; 100];
             s[99] = 1;
             s
@@ -167,7 +167,7 @@ mod tests {
     fn statistic_matches_hand_computation() {
         // Counts [1, 3] → r = 4, d = 2, expected = 2.
         // stat = (1-2)²/2 + (3-2)²/2 = 1.
-        let p = FrequencyProfile::from_spectrum(100, vec![1, 0, 1]).unwrap();
+        let p = Spectrum::from_spectrum(100, vec![1, 0, 1]).unwrap();
         let t = skew_test(&p, 0.05);
         assert!((t.statistic - 1.0).abs() < 1e-12);
         // P(χ²(1) > 1) = erfc(1/√2); far above 0.05 — not rejected.
@@ -203,7 +203,7 @@ mod tests {
                     })
                     .collect();
                 let r: u64 = counts.iter().sum();
-                let p = FrequencyProfile::from_sample_counts(r.saturating_mul(10), counts).unwrap();
+                let p = Spectrum::from_sample_counts(r.saturating_mul(10), counts).unwrap();
                 for alpha in [0.01, 0.025, 0.05] {
                     let t = skew_test(&p, alpha);
                     let crit = chi2_inv_cdf((d - 1) as f64, 1.0 - alpha);
@@ -228,14 +228,14 @@ mod tests {
     #[test]
     fn cv_zero_for_all_singletons() {
         // No pair information: Σ i(i-1) f_i = 0, and d_hat/N - 1 < 0 ⇒ 0.
-        let p = FrequencyProfile::from_spectrum(10_000, vec![100]).unwrap();
+        let p = Spectrum::from_spectrum(10_000, vec![100]).unwrap();
         assert_eq!(squared_cv_estimate(&p, 5000.0), 0.0);
         assert_eq!(squared_cv_estimate_infinite(&p, 5000.0), 0.0);
     }
 
     #[test]
     fn cv_grows_with_concentration() {
-        let flat = FrequencyProfile::from_spectrum(100_000, {
+        let flat = Spectrum::from_spectrum(100_000, {
             let mut s = vec![0u64; 2];
             s[1] = 100; // 100 classes seen twice
             s
@@ -245,7 +245,7 @@ mod tests {
             let mut s = vec![0u64; 150];
             s[0] = 50; // 50 singletons
             s[149] = 1; // one class seen 150 times
-            FrequencyProfile::from_spectrum(100_000, s).unwrap()
+            Spectrum::from_spectrum(100_000, s).unwrap()
         };
         let d_hat = 1000.0;
         assert!(
@@ -258,7 +258,7 @@ mod tests {
     fn cv_exact_on_small_case() {
         // Spectrum f1=2, f2=1: r = 4, Σ i(i-1) f_i = 2.
         // γ̂² = max{0, d_hat (N-1)/(N·12)·2 + d_hat/N - 1}.
-        let p = FrequencyProfile::from_spectrum(100, vec![2, 1]).unwrap();
+        let p = Spectrum::from_spectrum(100, vec![2, 1]).unwrap();
         let d_hat = 30.0;
         let expected = 30.0 * 99.0 / (100.0 * 12.0) * 2.0 + 0.3 - 1.0;
         assert!((squared_cv_estimate(&p, d_hat) - expected).abs() < 1e-12);
@@ -266,10 +266,10 @@ mod tests {
 
     #[test]
     fn coverage_estimate_range() {
-        let p = FrequencyProfile::from_spectrum(1000, vec![5, 0, 5]).unwrap();
+        let p = Spectrum::from_spectrum(1000, vec![5, 0, 5]).unwrap();
         // r = 20, f1 = 5 → Ĉ = 0.75.
         assert!((coverage_estimate(&p) - 0.75).abs() < 1e-12);
-        let all_single = FrequencyProfile::from_spectrum(1000, vec![10]).unwrap();
+        let all_single = Spectrum::from_spectrum(1000, vec![10]).unwrap();
         assert_eq!(coverage_estimate(&all_single), 0.0);
     }
 }

@@ -5,18 +5,13 @@
 use dve_core::error::ratio_error;
 use dve_core::estimator::DistinctEstimator;
 use dve_core::gee::Gee;
-use dve_core::profile::FrequencyProfile;
+use dve_core::Spectrum;
 use dve_numeric::rng::Rng;
 use std::collections::HashMap;
 
 /// With-replacement sample profile of a column described by per-class
 /// probabilities (the Theorem 2 setting).
-fn sample_with_replacement(
-    class_counts: &[u64],
-    n: u64,
-    r: u64,
-    rng: &mut Rng,
-) -> FrequencyProfile {
+fn sample_with_replacement(class_counts: &[u64], n: u64, r: u64, rng: &mut Rng) -> Spectrum {
     // Build a cumulative table for inverse sampling.
     let mut cum = Vec::with_capacity(class_counts.len());
     let mut acc = 0u64;
@@ -31,7 +26,7 @@ fn sample_with_replacement(
         let class = cum.partition_point(|&c| c <= t);
         *counts.entry(class).or_insert(0) += 1;
     }
-    FrequencyProfile::from_sample_counts(n, counts.into_values()).unwrap()
+    Spectrum::from_sample_counts(n, counts.into_values()).unwrap()
 }
 
 /// E[d] = Σ 1 − (1−pᵢ)^r and E[f₁] = Σ r·pᵢ·(1−pᵢ)^{r−1} (paper §4).

@@ -17,7 +17,7 @@ use crate::bound::{all_x_probability, scenario_b_k, theorem1_bound};
 use crate::scenario::{Scenario, ScenarioOracle};
 use dve_core::error::ratio_error;
 use dve_core::estimator::DistinctEstimator;
-use dve_core::profile::FrequencyProfile;
+use dve_core::Spectrum;
 use dve_numeric::rng::Rng;
 use std::collections::HashMap;
 
@@ -69,8 +69,8 @@ impl<E: DistinctEstimator> ProbingStrategy for RandomProbe<E> {
         for &(_, v) in history {
             *counts.entry(v).or_insert(0) += 1;
         }
-        let profile = FrequencyProfile::from_sample_counts(n, counts.into_values())
-            .expect("non-empty history");
+        let profile =
+            Spectrum::from_sample_counts(n, counts.into_values()).expect("non-empty history");
         self.estimator.estimate(&profile)
     }
 }
@@ -120,8 +120,8 @@ impl<E: DistinctEstimator> ProbingStrategy for GallopingProbe<E> {
         for &(_, v) in history {
             *counts.entry(v).or_insert(0) += 1;
         }
-        let profile = FrequencyProfile::from_sample_counts(n, counts.into_values())
-            .expect("non-empty history");
+        let profile =
+            Spectrum::from_sample_counts(n, counts.into_values()).expect("non-empty history");
         self.estimator.estimate(&profile)
     }
 }

@@ -1,4 +1,4 @@
-//! From raw samples to [`FrequencyProfile`]s.
+//! From raw samples to [`Spectrum`]s.
 //!
 //! Estimators never touch sampled values; they consume the frequency
 //! spectrum. This module turns any sampler's output into a profile and
@@ -6,8 +6,8 @@
 //! harness.
 
 use dve_core::design::SampleDesign;
-use dve_core::profile::{FrequencyProfile, ProfileError};
 use dve_core::spectrum::SpectrumBuilder;
+use dve_core::{Spectrum, SpectrumError};
 use dve_numeric::rng::Rng;
 
 use crate::{bernoulli, block, reservoir, sequential, with_replacement, without_replacement};
@@ -100,7 +100,7 @@ pub fn sample_profile(
     r: u64,
     scheme: SamplingScheme,
     rng: &mut Rng,
-) -> Result<FrequencyProfile, ProfileError> {
+) -> Result<Spectrum, SpectrumError> {
     let n = data.len() as u64;
     let obs = dve_obs::global();
     let build_ns = obs.histogram_labeled("sample.build_ns", scheme.label());
@@ -123,7 +123,7 @@ pub fn sample_profile(
 }
 
 /// Counts value multiplicities and assembles the profile.
-pub fn profile_of_values(n: u64, values: &[u64]) -> Result<FrequencyProfile, ProfileError> {
+pub fn profile_of_values(n: u64, values: &[u64]) -> Result<Spectrum, SpectrumError> {
     // Start modest and let the table grow geometrically — most samples
     // have far fewer distinct values than rows, so sizing for the worst
     // case would waste the cache the open-addressing layout buys.
@@ -163,7 +163,7 @@ pub fn profile_of_values_chunked(
     n: u64,
     values: &[u64],
     jobs: usize,
-) -> Result<FrequencyProfile, ProfileError> {
+) -> Result<Spectrum, SpectrumError> {
     let jobs = if jobs == 0 {
         dve_par::default_jobs()
     } else {

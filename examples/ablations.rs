@@ -24,8 +24,8 @@ use dve_core::estimator::DistinctEstimator;
 use dve_core::gee::Gee;
 use dve_core::goodman::Goodman;
 use dve_core::hybrid::{HybSkew, HybridDecision};
-use dve_core::profile::FrequencyProfile;
 use dve_core::registry;
+use dve_core::Spectrum;
 use dve_numeric::rng::Rng;
 use dve_numeric::stats::RunningMoments;
 use dve_sample::{sample_profile, SamplingScheme};
@@ -47,7 +47,7 @@ fn columns() -> Vec<(&'static str, Vec<u64>, u64)> {
     out
 }
 
-fn profiles(col: &[u64], r: u64, seed: u64) -> Vec<FrequencyProfile> {
+fn profiles(col: &[u64], r: u64, seed: u64) -> Vec<Spectrum> {
     (0..TRIALS)
         .map(|t| {
             let mut rng = Rng::seed_from_u64(seed + t as u64);
@@ -56,7 +56,7 @@ fn profiles(col: &[u64], r: u64, seed: u64) -> Vec<FrequencyProfile> {
         .collect()
 }
 
-fn mean_error(est: &dyn DistinctEstimator, profiles: &[FrequencyProfile], d: u64) -> f64 {
+fn mean_error(est: &dyn DistinctEstimator, profiles: &[Spectrum], d: u64) -> f64 {
     let m: RunningMoments = profiles
         .iter()
         .map(|p| ratio_error(est.estimate(p).max(1.0), d as f64))

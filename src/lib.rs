@@ -46,11 +46,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use distinct_values::core::{estimator::DistinctEstimator, gee::Gee, profile::FrequencyProfile};
+//! use distinct_values::core::{estimator::DistinctEstimator, gee::Gee, Spectrum};
 //!
 //! // A sample of r = 6 rows from a table of n = 1000 rows containing
 //! // the values [a, a, a, b, b, c]: f1 = 1 ("c"), f2 = 1 ("b"), f3 = 1 ("a").
-//! let profile = FrequencyProfile::from_sample_counts(1000, [3, 2, 1]).unwrap();
+//! let profile = Spectrum::from_sample_counts(1000, [3, 2, 1]).unwrap();
 //! let estimate = Gee::default().estimate(&profile);
 //! assert!(estimate >= profile.distinct_in_sample() as f64);
 //! assert!(estimate <= 1000.0);

@@ -4,14 +4,14 @@
 use distinct_values::core::bounds::gee_confidence_interval;
 use distinct_values::core::error::ratio_error;
 use distinct_values::core::estimator::DistinctEstimator;
-use distinct_values::core::profile::FrequencyProfile;
 use distinct_values::core::registry;
+use distinct_values::core::Spectrum;
 use distinct_values::numeric::check::{check, f64_in, u64_in, vec_of};
 use distinct_values::numeric::rng::Rng;
 
 /// Arbitrary valid (n, spectrum) pairs: a sparse spectrum of up to 8
 /// nonzero (frequency, count) entries, with n scaled comfortably above r.
-fn arb_profile(rng: &mut Rng) -> FrequencyProfile {
+fn arb_profile(rng: &mut Rng) -> Spectrum {
     let entries = vec_of(rng, 1..8, |rng| {
         (u64_in(rng, 1..2_000), u64_in(rng, 1..500))
     });
@@ -29,7 +29,7 @@ fn arb_profile(rng: &mut Rng) -> FrequencyProfile {
     let d: u64 = spectrum.iter().sum();
     // n must be at least max(r, d); add random headroom.
     let n = r.max(d) + headroom;
-    FrequencyProfile::from_spectrum(n, spectrum).expect("constructed valid")
+    Spectrum::from_spectrum(n, spectrum).expect("constructed valid")
 }
 
 /// The paper's §2 sanity bounds hold for every estimator on every
@@ -108,7 +108,7 @@ fn full_scan_exactness() {
     check("full_scan_exactness", 128, |rng| {
         let counts = vec_of(rng, 1..40, |rng| u64_in(rng, 1..30));
         let n: u64 = counts.iter().sum();
-        let profile = FrequencyProfile::from_sample_counts(n, counts.iter().copied()).unwrap();
+        let profile = Spectrum::from_sample_counts(n, counts.iter().copied()).unwrap();
         let d = profile.distinct_in_sample() as f64;
         for name in [
             "GEE",
@@ -145,8 +145,8 @@ fn gee_monotone_in_singletons() {
         let f2 = u64_in(rng, 0..100);
         use distinct_values::core::Gee;
         let n = 1_000_000u64;
-        let p1 = FrequencyProfile::from_spectrum(n, vec![base_f1, f2]).unwrap();
-        let p2 = FrequencyProfile::from_spectrum(n, vec![base_f1 + extra, f2]).unwrap();
+        let p1 = Spectrum::from_spectrum(n, vec![base_f1, f2]).unwrap();
+        let p2 = Spectrum::from_spectrum(n, vec![base_f1 + extra, f2]).unwrap();
         assert!(Gee::default().estimate_raw(&p2) > Gee::default().estimate_raw(&p1));
     });
 }
