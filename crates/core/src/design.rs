@@ -60,28 +60,16 @@ impl SampleDesign {
     /// the summed population. Any with-replacement shard poisons the
     /// merge back to the paper's design-blind model — there is no honest
     /// mixed form, so the merge falls back to `WithReplacement` rather
-    /// than inventing one.
-    pub fn merge(self, other: SampleDesign) -> SampleDesign {
+    /// than inventing one. Returns `None` when the WOR populations sum
+    /// past `u64::MAX`.
+    pub fn merge(self, other: SampleDesign) -> Option<SampleDesign> {
         match (self, other) {
             (
                 SampleDesign::WithoutReplacement { n: a },
                 SampleDesign::WithoutReplacement { n: b },
-            ) => SampleDesign::WithoutReplacement { n: a + b },
-            _ => SampleDesign::WithReplacement,
+            ) => a.checked_add(b).map(SampleDesign::wor),
+            _ => Some(SampleDesign::WithReplacement),
         }
-    }
-
-    /// Fold [`SampleDesign::merge`] over any number of shard designs.
-    ///
-    /// An empty iterator yields the paper-default `WithReplacement`;
-    /// a single design is returned unchanged.
-    pub fn merged(designs: impl IntoIterator<Item = SampleDesign>) -> SampleDesign {
-        let mut iter = designs.into_iter();
-        let first = match iter.next() {
-            Some(d) => d,
-            None => return SampleDesign::WithReplacement,
-        };
-        iter.fold(first, SampleDesign::merge)
     }
 }
 
@@ -98,7 +86,11 @@ mod tests {
     fn wor_merge_sums_populations() {
         assert_eq!(
             SampleDesign::wor(300).merge(SampleDesign::wor(200)),
-            SampleDesign::wor(500)
+            Some(SampleDesign::wor(500))
+        );
+        assert_eq!(
+            SampleDesign::wor(u64::MAX).merge(SampleDesign::wor(1)),
+            None
         );
     }
 
@@ -106,28 +98,11 @@ mod tests {
     fn any_wr_shard_poisons_the_merge() {
         assert_eq!(
             SampleDesign::wor(300).merge(SampleDesign::WithReplacement),
-            SampleDesign::WithReplacement
+            Some(SampleDesign::WithReplacement)
         );
         assert_eq!(
             SampleDesign::WithReplacement.merge(SampleDesign::wor(300)),
-            SampleDesign::WithReplacement
-        );
-    }
-
-    #[test]
-    fn merged_folds_and_defaults() {
-        assert_eq!(SampleDesign::merged([]), SampleDesign::WithReplacement);
-        assert_eq!(
-            SampleDesign::merged([SampleDesign::wor(7)]),
-            SampleDesign::wor(7)
-        );
-        assert_eq!(
-            SampleDesign::merged([
-                SampleDesign::wor(1),
-                SampleDesign::wor(2),
-                SampleDesign::wor(3)
-            ]),
-            SampleDesign::wor(6)
+            Some(SampleDesign::WithReplacement)
         );
     }
 

@@ -26,6 +26,7 @@ use crate::jackknife::{
 use crate::mom::{MethodOfMoments, MethodOfMomentsInfinite};
 use crate::naive::{LinearScaleUp, SampleDistinct};
 use crate::shlosser::{ModifiedShlosser, Shlosser};
+use std::time::Instant;
 
 /// All estimator names the registry understands, in the paper's order
 /// (new estimators first, then the published baselines, then classical
@@ -223,7 +224,10 @@ impl DistinctEstimator for Instrumented {
 
     fn estimate_raw(&self, profile: &crate::spectrum::Spectrum) -> f64 {
         self.calls.inc();
-        dve_obs::time(&self.latency, || self.inner.estimate_raw(profile))
+        let start = Instant::now();
+        let raw = self.inner.estimate_raw(profile);
+        self.latency.record_duration(start.elapsed());
+        raw
     }
 
     fn estimate_raw_for(
@@ -234,9 +238,10 @@ impl DistinctEstimator for Instrumented {
         // Delegate so design-aware overrides (AE's hypergeometric form)
         // survive the wrapper; record the same call telemetry.
         self.calls.inc();
-        dve_obs::time(&self.latency, || {
-            self.inner.estimate_raw_for(profile, design)
-        })
+        let start = Instant::now();
+        let raw = self.inner.estimate_raw_for(profile, design);
+        self.latency.record_duration(start.elapsed());
+        raw
     }
 
     fn estimate_full(
@@ -247,7 +252,10 @@ impl DistinctEstimator for Instrumented {
         // Delegate so estimator-specific intervals (GEE's bounds)
         // survive the wrapper; record the same call telemetry.
         self.calls.inc();
-        dve_obs::time(&self.latency, || self.inner.estimate_full(profile, design))
+        let start = Instant::now();
+        let estimation = self.inner.estimate_full(profile, design);
+        self.latency.record_duration(start.elapsed());
+        estimation
     }
 }
 

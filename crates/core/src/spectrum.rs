@@ -201,11 +201,11 @@ impl Spectrum {
     /// spectrum under one honest combined design — **the** WOR-merge
     /// implementation; the serve `"shards"` mode and the cluster
     /// coordinator both route through here. Spectra add per
-    /// [`Spectrum::merge`]; designs fold per [`SampleDesign::merged`]
+    /// [`Spectrum::merge`]; designs fold per [`SampleDesign::merge`]
     /// (all-WOR shards yield `wor(Σ nᵢ)`, any WR shard falls back to the
     /// paper's with-replacement model). Returns `None` for an empty
-    /// shard list, and when the shards hold more than `u64::MAX` rows
-    /// together.
+    /// shard list, and when the shards' spectra or WOR populations sum
+    /// past `u64::MAX`.
     pub fn merge_designed(
         shards: impl IntoIterator<Item = (Spectrum, SampleDesign)>,
     ) -> Option<(Spectrum, SampleDesign)> {
@@ -213,7 +213,7 @@ impl Spectrum {
         let (mut spectrum, mut design) = iter.next()?;
         for (s, d) in iter {
             spectrum = spectrum.merge(&s)?;
-            design = design.merge(d);
+            design = design.merge(d)?;
         }
         Some((spectrum, design))
     }
@@ -982,7 +982,7 @@ mod tests {
         assert_eq!(design, SampleDesign::WithReplacement);
         // Single shard passes through; empty list has no merge.
         let (solo, d) = Spectrum::merge_designed([(a.clone(), SampleDesign::wor(1_000))]).unwrap();
-        assert_eq!((solo, d), (a, SampleDesign::wor(1_000)));
+        assert_eq!((solo, d), (a.clone(), SampleDesign::wor(1_000)));
         assert!(Spectrum::merge_designed(std::iter::empty()).is_none());
         // Shards whose sizes sum past u64::MAX have no merge either.
         let huge = Spectrum::from_spectrum(u64::MAX, vec![1]).unwrap();
@@ -991,6 +991,12 @@ mod tests {
         assert!(Spectrum::merge_designed([
             (huge, SampleDesign::wor(u64::MAX)),
             (small, SampleDesign::wor(2)),
+        ])
+        .is_none());
+        // So do shards whose WOR populations alone overflow.
+        assert!(Spectrum::merge_designed([
+            (a, SampleDesign::wor(u64::MAX)),
+            (b, SampleDesign::wor(1)),
         ])
         .is_none());
     }

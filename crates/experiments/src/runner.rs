@@ -21,12 +21,6 @@ pub fn trial_seed(base: u64, trial: u32) -> u64 {
     splitmix64(&mut state)
 }
 
-/// Cached per-trial wall-clock histogram (`experiments.trial_ns`).
-fn trial_ns() -> &'static std::sync::Arc<dve_obs::Histogram> {
-    static H: std::sync::OnceLock<std::sync::Arc<dve_obs::Histogram>> = std::sync::OnceLock::new();
-    H.get_or_init(|| dve_obs::global().histogram("experiments.trial_ns"))
-}
-
 /// Aggregated measurements for one estimator at one experiment point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorPoint {
@@ -111,7 +105,7 @@ pub fn run_point_jobs(
     // One task per trial; each returns the per-estimator (error,
     // estimate) pairs for deterministic aggregation below.
     let per_trial: Vec<Vec<(f64, f64)>> = dve_par::run_indexed(jobs, trials as usize, |t| {
-        let _t = trial_ns().start_timer();
+        let _span = dve_obs::trace::span("experiments.trial");
         let mut rng = Rng::seed_from_u64(trial_seed(seed, t as u32));
         let profile = sample_profile(column, r, scheme, &mut rng)
             .expect("sampling a non-empty column cannot fail");
@@ -182,7 +176,7 @@ pub fn run_interval_point_jobs(
     let jobs = dve_par::resolve_jobs((jobs > 0).then_some(jobs));
 
     let per_trial: Vec<(f64, f64, bool)> = dve_par::run_indexed(jobs, trials as usize, |t| {
-        let _t = trial_ns().start_timer();
+        let _span = dve_obs::trace::span("experiments.trial");
         let mut rng = Rng::seed_from_u64(trial_seed(seed, t as u32));
         let profile = sample_profile(column, r, scheme, &mut rng)
             .expect("sampling a non-empty column cannot fail");
@@ -323,7 +317,9 @@ mod tests {
     #[test]
     fn trials_record_timing_metrics() {
         let (col, d) = uniform_column();
-        let before = super::trial_ns().count();
+        let trial_span =
+            dve_obs::global().histogram_labeled(dve_obs::trace::SPAN_DURATION, "experiments.trial");
+        let before = trial_span.count();
         run_point(
             &col,
             d,
@@ -335,7 +331,7 @@ mod tests {
         );
         // Other tests in this binary may run trials concurrently, so
         // assert a lower bound rather than an exact delta.
-        assert!(super::trial_ns().count() >= before + 3);
+        assert!(trial_span.count() >= before + 3);
     }
 
     #[test]

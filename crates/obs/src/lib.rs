@@ -14,19 +14,21 @@
 //!   [`MetricsSnapshot`] serializes to JSON (hand-rolled writer), an
 //!   aligned text table, or the Prometheus text exposition format
 //!   ([`prom`]) for scraping.
-//! * **Spans & events** — an RAII [`Timer`] guard that records durations
-//!   into histograms ([`span`]), and an [`EventSink`] abstraction
-//!   ([`event`]) with a JSONL writer (file or stderr, selected via the
-//!   `DVE_LOG` environment variable), a pretty stderr sink (the default),
-//!   and an in-memory [`VecSink`] for tests.
+//! * **Events** — an [`EventSink`] abstraction ([`event`]) with a JSONL
+//!   writer (file or stderr, selected via the `DVE_LOG` environment
+//!   variable), a pretty stderr sink (the default), and an in-memory
+//!   [`VecSink`] for tests.
 //! * **Accuracy audit** — recorders for estimation *quality* ([`audit`]):
 //!   per-estimator ratio-error histograms, GEE interval coverage
 //!   counters, and AE solver form-agreement telemetry, all addressed
 //!   through the same global registry.
-//! * **Causal tracing** — propagated `trace_id`/`span_id`/`parent_id`
-//!   contexts with a bounded sharded collector and a Chrome trace-event
-//!   exporter ([`trace`]). Off by default; disabled spans cost one
-//!   relaxed load and zero allocations.
+//! * **Spans & causal tracing** — [`trace::span`] is the one timing
+//!   primitive: every span records its duration on drop into
+//!   `span.duration_ns{<span name>}`, traced or not ([`trace`]). Tracing
+//!   (off by default) adds propagated `trace_id`/`span_id`/`parent_id`
+//!   contexts, a bounded sharded collector and a Chrome trace-event
+//!   exporter. An untraced warm span makes zero allocations and takes no
+//!   lock.
 //! * **Sliding windows & SLOs** — rotating-ring [`WindowedCounter`]/
 //!   [`WindowedHistogram`] instruments with `p50/p95/p99` over the last
 //!   `1m`/`5m`/`1h` ([`window`], injectable clock for deterministic
@@ -84,7 +86,6 @@ pub mod minijson;
 pub mod prom;
 pub mod registry;
 pub mod slo;
-pub mod span;
 pub mod trace;
 pub mod window;
 
@@ -96,7 +97,6 @@ pub use registry::{
     global, CounterSample, GaugeSample, HistogramSample, MetricsSnapshot, Registry,
 };
 pub use slo::{SloConfig, SloTracker};
-pub use span::{time, Timer};
 pub use window::{
     global_windows, ManualClock, WindowClock, WindowRegistry, WindowSnapshot, WindowStats,
     WindowedCounter, WindowedHistogram,

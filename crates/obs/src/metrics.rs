@@ -124,7 +124,8 @@ pub(crate) fn bucket_bounds(idx: usize) -> (u64, u64) {
 }
 
 /// A log-bucketed histogram of `u64` observations (typically
-/// nanoseconds, recorded via [`crate::Timer`], or sizes).
+/// nanoseconds, recorded by [`crate::trace::span`] or
+/// [`Histogram::record_duration`], or sizes).
 ///
 /// Buckets are exact below 8 and have ≈ 12.5% relative width above, so
 /// reported percentiles carry at most ≈ 6.3% representation error.
@@ -173,11 +174,6 @@ impl Histogram {
     #[inline]
     pub fn record_duration(&self, d: std::time::Duration) {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Starts an RAII timer recording into this histogram on drop.
-    pub fn start_timer(&self) -> crate::Timer<'_> {
-        crate::Timer::start(self)
     }
 
     /// Number of observations.

@@ -52,8 +52,9 @@ pub fn help_for(name: &str) -> String {
         "serve.responses" => "Responses written, by HTTP status.",
         "serve.shed" => "Requests shed with 429 because the queue was full.",
         "serve.queue_depth" => "Accepted requests currently waiting for a worker.",
-        "serve.queue_wait_ns" => "Time requests spent queued before handling, ns.",
-        "serve.request_ns" => "Wall time from handling start to response, ns.",
+        "span.duration_ns" => {
+            "Duration of each timed layer, ns, by span name (serve.request runs from accept to response)."
+        }
         "par.tasks_total" => "Tasks submitted to the worker pool.",
         "par.worker_busy_ns" => "Per-worker time inside task functions, ns.",
         "par.queue_wait_ns" => "Per-worker time outside task functions, ns.",
@@ -267,7 +268,8 @@ mod tests {
         let r = Registry::new();
         r.counter_labeled("serve.requests", "estimate").inc();
         r.gauge("serve.queue_depth").set(3);
-        r.histogram("serve.request_ns").record(1000);
+        r.histogram_labeled("span.duration_ns", "serve.request")
+            .record(1000);
         r.counter("made.up.family").inc();
         let text = r.snapshot().to_prometheus();
         // Curated help for the known families, generated for the rest.
@@ -275,7 +277,7 @@ mod tests {
         assert!(text.contains(
             "# HELP serve_queue_depth Accepted requests currently waiting for a worker.\n"
         ));
-        assert!(text.contains("# HELP serve_request_ns "));
+        assert!(text.contains("# HELP span_duration_ns Duration of each timed layer"));
         assert!(text.contains("# HELP made_up_family_total Metric made.up.family"));
         // Every TYPE line is immediately preceded by its HELP line.
         let lines: Vec<&str> = text.lines().collect();

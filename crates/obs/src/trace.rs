@@ -1,22 +1,26 @@
 //! Causal tracing: propagated trace contexts, a lock-sharded ring-buffer
 //! span collector, and a Chrome trace-event JSON exporter.
 //!
-//! The metrics in [`crate::metrics`] answer "how much, in aggregate";
-//! this module answers "where did *this* request's time go". Every
-//! span carries a `trace_id`/`span_id`/`parent_id` triple (SplitMix64-
-//! derived 64-bit ids), so a single `POST /v1/estimate` can be followed
-//! from the accept thread, across the `dve-par` pool boundary, down to
-//! the per-estimator math — and exported as a file that
-//! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev) load
-//! directly.
+//! A span is also the workspace's one timing primitive. Whether or not
+//! tracing is on, every span records its duration on drop into the
+//! labeled histogram [`SPAN_DURATION`]`{<span name>}` of the global
+//! registry, so `/metrics` answers "where did the time go, per layer"
+//! for every request. Tracing adds the causal view: "where did *this*
+//! request's time go". A traced span carries a
+//! `trace_id`/`span_id`/`parent_id` triple (SplitMix64-derived 64-bit
+//! ids), so a single `POST /v1/estimate` can be followed from the accept
+//! thread, across the `dve-par` pool boundary, down to the per-estimator
+//! math — and exported as a file that `chrome://tracing` /
+//! [Perfetto](https://ui.perfetto.dev) load directly.
 //!
 //! ## Context propagation rules
 //!
 //! * The current context lives in a thread-local ([`current`]).
 //! * [`root_span`] starts a new trace and installs itself as current;
-//!   [`span`] opens a child of the current context — and is **inert**
-//!   (records nothing, allocates nothing) when there is no current
-//!   trace, so library code may be instrumented unconditionally.
+//!   [`span`] opens a child of the current context. With tracing off, or
+//!   no current trace, a span only times itself: it allocates nothing
+//!   and touches no collector, so library code may be instrumented
+//!   unconditionally.
 //! * Crossing a thread boundary is explicit: capture [`current`] before
 //!   spawning, then [`adopt`] it inside the worker. `dve-par` does this
 //!   for every pool worker, so spans opened inside tasks link to the
@@ -36,22 +40,29 @@
 //!
 //! ## Overhead budget
 //!
-//! Tracing is **off** by default. Disabled, [`span`]/[`root_span`]
-//! degenerate to one relaxed atomic load and a branch, and perform zero
-//! heap allocations (pinned by the counting-allocator test
+//! Tracing is **off** by default. Disabled, a span costs one relaxed
+//! load, two clock reads and one histogram record through a cached
+//! handle, with zero heap allocations and no lock once its name is warm
+//! (pinned by the counting-allocator test
 //! `tracing_off_is_allocation_free_on_the_span_path` in
-//! `tests/alloc_free.rs`). Enabled, each finished span costs one
+//! `tests/alloc_free.rs`). Enabled, each finished span also costs one
 //! `VecDeque` push behind one of [`SHARDS`] mutexes; the buffers are
 //! bounded ([`SHARD_CAP`] spans per shard, drop-oldest), so a
 //! long-running daemon's memory stays flat and [`dropped_spans`] makes
 //! the loss observable.
 
+use crate::metrics::Histogram;
 use crate::minijson::Writer;
+use dve_numeric::rng::{splitmix64, GOLDEN};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+/// The labeled histogram each span's duration lands in, one member per
+/// span name (Prometheus: `span_duration_ns{label="<span name>"}`).
+pub const SPAN_DURATION: &str = "span.duration_ns";
 
 /// Number of mutex-sharded span buffers. A power of two; spans shard by
 /// `trace_id`, so one trace's spans share a shard (single-lock lookup)
@@ -86,19 +97,28 @@ pub fn set_tracing(on: bool) {
     TRACING.store(on, Ordering::Relaxed);
 }
 
-/// The standard SplitMix64 mixer — full-period, well-distributed 64-bit
-/// ids from a sequential counter. Public so deterministic derived coins
-/// (e.g. the serve shadow sampler keyed by trace id) share one mixer.
-pub fn mix64(x: u64) -> u64 {
-    splitmix64(x)
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// Records `ns` into [`SPAN_DURATION`]`{name}`. Handles are cached in a
+/// fixed table keyed by the name's address, so a warm name costs one
+/// probe and the histogram's relaxed atomics: no lock, no allocation.
+/// A name that finds the table full goes through the registry instead.
+fn record_duration(name: &'static str, ns: u64) {
+    type Slot = OnceLock<(&'static str, Arc<Histogram>)>;
+    const SLOTS: usize = 128;
+    #[allow(clippy::declare_interior_mutable_const)]
+    const EMPTY: Slot = OnceLock::new();
+    static CACHE: [Slot; SLOTS] = [EMPTY; SLOTS];
+    let home = ((name.as_ptr() as u64).wrapping_mul(GOLDEN) >> 57) as usize;
+    for probe in 0..SLOTS {
+        let (slot_name, hist) = CACHE[(home + probe) % SLOTS]
+            .get_or_init(|| (name, crate::global().histogram_labeled(SPAN_DURATION, name)));
+        if *slot_name == name {
+            hist.record(ns);
+            return;
+        }
+    }
+    crate::global()
+        .histogram_labeled(SPAN_DURATION, name)
+        .record(ns);
 }
 
 /// Process-unique id source: SplitMix64 over a counter, offset by a
@@ -111,9 +131,9 @@ fn next_id() -> u64 {
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0x5EED);
-        splitmix64(t ^ u64::from(std::process::id()))
+        splitmix64(&mut (t ^ u64::from(std::process::id())))
     });
-    let v = splitmix64(seed ^ NEXT.fetch_add(1, Ordering::Relaxed));
+    let v = splitmix64(&mut (seed ^ NEXT.fetch_add(1, Ordering::Relaxed)));
     if v == 0 {
         1
     } else {
@@ -160,7 +180,7 @@ impl TraceId {
         }
         let mut h = 0x6A5D_39EA_E116_586Au64;
         for b in t.bytes() {
-            h = splitmix64(h ^ u64::from(b));
+            h = splitmix64(&mut (h ^ u64::from(b)));
         }
         TraceId(h)
     }
@@ -382,145 +402,129 @@ pub fn clear() {
     c.recent.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
-struct ArmedSpan {
+/// The tracing half of a span: present only when tracing was on and the
+/// span joined a trace.
+struct Traced {
     ctx: TraceContext,
     parent: Option<SpanId>,
     prev: Option<TraceContext>,
-    name: &'static str,
     detail: Option<String>,
-    start_ns: u64,
 }
 
-/// An RAII span: created by [`span`] / [`root_span`], installed as the
-/// thread's current context for its lifetime, recorded into the
-/// collector on drop. When tracing is disabled (or [`span`] finds no
-/// current trace) the guard is inert and allocation-free.
+/// An RAII span: created by [`span`] / [`root_span`], it records its
+/// lifetime into [`SPAN_DURATION`]`{name}` on drop. When it joins a trace
+/// it is also installed as the thread's current context for its lifetime
+/// and recorded into the collector on drop; otherwise it allocates
+/// nothing.
 #[must_use = "a span measures its guard's lifetime; dropping it immediately records nothing useful"]
 pub struct SpanGuard {
-    armed: Option<ArmedSpan>,
+    name: &'static str,
+    start: Instant,
+    traced: Option<Traced>,
 }
 
 impl std::fmt::Debug for SpanGuard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.armed {
-            Some(a) => f
-                .debug_struct("SpanGuard")
-                .field("name", &a.name)
-                .field("trace_id", &a.ctx.trace_id)
-                .finish_non_exhaustive(),
-            None => f.debug_struct("SpanGuard").field("inert", &true).finish(),
+        let mut d = f.debug_struct("SpanGuard");
+        d.field("name", &self.name);
+        if let Some(t) = &self.traced {
+            d.field("trace_id", &t.ctx.trace_id);
         }
+        d.finish_non_exhaustive()
     }
 }
 
-fn open(name: &'static str, trace_id: TraceId, parent: Option<SpanId>) -> SpanGuard {
-    let ctx = TraceContext {
-        trace_id,
-        span_id: SpanId(next_id()),
-    };
-    let prev = CURRENT.with(|c| c.replace(Some(ctx)));
-    SpanGuard {
-        armed: Some(ArmedSpan {
+fn open(name: &'static str, trace: Option<(TraceId, Option<SpanId>)>) -> SpanGuard {
+    let traced = trace.map(|(trace_id, parent)| {
+        let ctx = TraceContext {
+            trace_id,
+            span_id: SpanId(next_id()),
+        };
+        Traced {
             ctx,
             parent,
-            prev,
-            name,
+            prev: CURRENT.with(|c| c.replace(Some(ctx))),
             detail: None,
-            start_ns: now_ns(),
-        }),
+        }
+    });
+    SpanGuard {
+        name,
+        start: Instant::now(),
+        traced,
     }
 }
 
-/// Opens a child span of the thread's current context. Inert (and
-/// allocation-free) when tracing is off or no trace is current.
+/// Opens a child span of the thread's current context. With tracing off
+/// or no current trace it only times itself (allocation-free).
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !tracing_enabled() {
-        return SpanGuard { armed: None };
-    }
-    match current() {
-        Some(ctx) => open(name, ctx.trace_id, Some(ctx.span_id)),
-        None => SpanGuard { armed: None },
-    }
+    let parent = if tracing_enabled() { current() } else { None };
+    open(name, parent.map(|ctx| (ctx.trace_id, Some(ctx.span_id))))
 }
 
-/// Opens a new trace rooted at `name` (fresh trace id). Inert when
-/// tracing is off.
+/// Opens a new trace rooted at `name` (fresh trace id). With tracing off
+/// it only times itself.
 #[inline]
 pub fn root_span(name: &'static str) -> SpanGuard {
-    if !tracing_enabled() {
-        return SpanGuard { armed: None };
-    }
-    open(name, TraceId::new(), None)
+    open(name, tracing_enabled().then(|| (TraceId::new(), None)))
 }
 
 /// Opens a new trace under a caller-chosen id (e.g. parsed from an
-/// `X-Dve-Trace-Id` header). Inert when tracing is off.
+/// `X-Dve-Trace-Id` header). With tracing off it only times itself.
 #[inline]
 pub fn root_span_with_id(name: &'static str, trace_id: TraceId) -> SpanGuard {
-    if !tracing_enabled() {
-        return SpanGuard { armed: None };
-    }
-    open(name, trace_id, None)
-}
-
-/// Runs `f` inside a child span of the current context.
-pub fn with_span<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
-    let _s = span(name);
-    f()
+    open(name, tracing_enabled().then_some((trace_id, None)))
 }
 
 impl SpanGuard {
     /// This span's context (the one children will link to), `None` when
-    /// inert.
+    /// the span is not traced.
     pub fn context(&self) -> Option<TraceContext> {
-        self.armed.as_ref().map(|a| a.ctx)
+        self.traced.as_ref().map(|t| t.ctx)
     }
 
     /// Attaches a free-form annotation. The closure runs (and the
-    /// string allocates) only when the span is armed.
+    /// string allocates) only when the span is traced.
     pub fn detail(mut self, f: impl FnOnce() -> String) -> Self {
-        if let Some(a) = &mut self.armed {
-            a.detail = Some(f());
-        }
+        self.set_detail(f);
         self
     }
 
     /// Replaces the annotation on an already-open span (e.g. the
     /// response status, known only at the end).
     pub fn set_detail(&mut self, f: impl FnOnce() -> String) {
-        if let Some(a) = &mut self.armed {
-            a.detail = Some(f());
+        if let Some(t) = &mut self.traced {
+            t.detail = Some(f());
         }
     }
 
     /// Backdates the span's start to `at` (an [`Instant`] captured
     /// before the guard existed — e.g. the accept timestamp of a
-    /// request whose trace id was only known after parsing).
+    /// request whose trace id was only known after parsing). The
+    /// recorded duration then runs from `at`.
     pub fn started_at(mut self, at: Instant) -> Self {
-        if let Some(a) = &mut self.armed {
-            a.start_ns = instant_ns(at);
-        }
+        self.start = at;
         self
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(a) = self.armed.take() else {
+        let dur_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        record_duration(self.name, dur_ns);
+        let Some(t) = self.traced.take() else {
             return;
         };
-        CURRENT.with(|c| c.set(a.prev));
-        let end_ns = now_ns();
+        CURRENT.with(|c| c.set(t.prev));
         push_record(SpanRecord {
-            trace_id: a.ctx.trace_id,
-            span_id: a.ctx.span_id,
-            parent_id: a.parent,
-            name: a.name,
-            detail: a.detail,
+            trace_id: t.ctx.trace_id,
+            span_id: t.ctx.span_id,
+            parent_id: t.parent,
+            name: self.name,
+            detail: t.detail,
             tid: current_thread_id(),
-            start_ns: a.start_ns,
-            dur_ns: end_ns.saturating_sub(a.start_ns),
+            start_ns: instant_ns(self.start),
+            dur_ns,
         });
     }
 }
@@ -562,26 +566,27 @@ impl Drop for AdoptGuard {
 /// Records a span that was measured out-of-band: explicit start,
 /// duration, and thread attribution, linked as a child of `parent`.
 /// Used for phases observed after the fact (queue wait) or attributed
-/// to a thread other than the recorder (the accept thread). Returns the
-/// new span's id, or `None` when tracing is off.
+/// to a thread other than the recorder (the accept thread). The
+/// duration always lands in [`SPAN_DURATION`]`{name}`; the span reaches
+/// the collector only when tracing is on and `parent` is a trace.
+/// Returns the new span's id, or `None` when it was not traced.
 pub fn record_span(
     name: &'static str,
-    parent: TraceContext,
+    parent: Option<TraceContext>,
     start_ns: u64,
     dur_ns: u64,
     tid: u64,
-    detail: Option<String>,
+    detail: Option<&str>,
 ) -> Option<SpanId> {
-    if !tracing_enabled() {
-        return None;
-    }
+    record_duration(name, dur_ns);
+    let parent = parent.filter(|_| tracing_enabled())?;
     let span_id = SpanId(next_id());
     push_record(SpanRecord {
         trace_id: parent.trace_id,
         span_id,
         parent_id: Some(parent.span_id),
         name,
-        detail,
+        detail: detail.map(str::to_string),
         tid,
         start_ns,
         dur_ns,
@@ -590,17 +595,18 @@ pub fn record_span(
 }
 
 /// Records a complete root span out-of-band (e.g. a request shed with
-/// `429` before any handler ran). Returns the root's context so callers
-/// can attach children via [`record_span`], or `None` when tracing is
-/// off.
+/// `429` before any handler ran). The duration always lands in
+/// [`SPAN_DURATION`]`{name}`. Returns the root's context so callers can
+/// attach children via [`record_span`], or `None` when tracing is off.
 pub fn record_root_span(
     name: &'static str,
     trace_id: TraceId,
     start_ns: u64,
     dur_ns: u64,
     tid: u64,
-    detail: Option<String>,
+    detail: Option<&str>,
 ) -> Option<TraceContext> {
+    record_duration(name, dur_ns);
     if !tracing_enabled() {
         return None;
     }
@@ -610,7 +616,7 @@ pub fn record_root_span(
         span_id,
         parent_id: None,
         name,
-        detail,
+        detail: detail.map(str::to_string),
         tid,
         start_ns,
         dur_ns,
@@ -795,6 +801,9 @@ mod tests {
         assert_ne!(a, c);
         // Round trip: the formatted id parses back to itself.
         assert_eq!(TraceId::parse(&a.to_string()), a);
+        // The hash of a non-hex id is pinned: ids named by clients must
+        // keep naming the same trace.
+        assert_eq!(TraceId::parse("not-hex"), TraceId(0xf5c0_e5d0_e7bf_126d));
     }
 
     #[test]
@@ -818,10 +827,10 @@ mod tests {
         assert!(current().is_none());
         assert!(record_span(
             "t.manual",
-            TraceContext {
+            Some(TraceContext {
                 trace_id: TraceId(1),
                 span_id: SpanId(1)
-            },
+            }),
             0,
             1,
             1,
@@ -831,7 +840,37 @@ mod tests {
     }
 
     #[test]
-    fn child_span_without_a_current_trace_is_inert() {
+    fn untraced_spans_still_time_their_layer() {
+        let _guard = crate::test_lock();
+        set_tracing(false);
+        let count = |name: &str| {
+            crate::global()
+                .histogram_labeled(SPAN_DURATION, name)
+                .count()
+        };
+        let before = [
+            count("t.timed.span"),
+            count("t.timed.root"),
+            count("t.timed.manual"),
+            count("t.timed.manual_root"),
+        ];
+        drop(span("t.timed.span"));
+        drop(root_span("t.timed.root"));
+        assert!(record_span("t.timed.manual", None, 0, 40, 1, None).is_none());
+        assert!(record_root_span("t.timed.manual_root", TraceId(1), 0, 50, 1, None).is_none());
+        let after = [
+            count("t.timed.span"),
+            count("t.timed.root"),
+            count("t.timed.manual"),
+            count("t.timed.manual_root"),
+        ];
+        assert_eq!(after, before.map(|c| c + 1));
+        let manual = crate::global().histogram_labeled(SPAN_DURATION, "t.timed.manual");
+        assert_eq!(manual.max(), Some(40));
+    }
+
+    #[test]
+    fn child_span_without_a_current_trace_is_untraced() {
         traced(|| {
             let g = span("t.orphan");
             assert!(g.context().is_none());
@@ -908,8 +947,8 @@ mod tests {
     fn manual_records_and_recent_index() {
         traced(|| {
             let trace_id = TraceId::new();
-            let root = record_root_span("t.shed", trace_id, 10, 20, 7, Some("429".into())).unwrap();
-            record_span("t.shed.wait", root, 10, 5, 7, None).unwrap();
+            let root = record_root_span("t.shed", trace_id, 10, 20, 7, Some("429")).unwrap();
+            record_span("t.shed.wait", Some(root), 10, 5, 7, None).unwrap();
             let spans = spans_for(trace_id);
             assert_eq!(spans.len(), 2);
             assert_eq!(spans[0].tid, 7);
@@ -932,7 +971,7 @@ mod tests {
             let trace_id = TraceId::new();
             let ctx = record_root_span("t.flood", trace_id, 0, 1, 1, None).unwrap();
             for _ in 0..SHARD_CAP + 10 {
-                record_span("t.flood.child", ctx, 0, 1, 1, None);
+                record_span("t.flood.child", Some(ctx), 0, 1, 1, None);
             }
             assert!(dropped_spans() > dropped_before);
             assert!(spans_for(trace_id).len() <= SHARD_CAP);

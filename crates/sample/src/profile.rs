@@ -88,8 +88,8 @@ impl SamplingScheme {
 /// [`SamplingScheme::Block`] it is `r` rounded up to a whole number of
 /// blocks.
 ///
-/// Telemetry: records `sample.rows_scanned` and the build latency
-/// histogram `sample.build_ns`, both labeled with the scheme.
+/// Telemetry: counts `sample.rows_scanned`, labeled with the scheme, and
+/// times the draw as the `sample.build` span.
 ///
 /// # Panics
 ///
@@ -102,9 +102,7 @@ pub fn sample_profile(
     rng: &mut Rng,
 ) -> Result<Spectrum, SpectrumError> {
     let n = data.len() as u64;
-    let obs = dve_obs::global();
-    let build_ns = obs.histogram_labeled("sample.build_ns", scheme.label());
-    let timer = build_ns.start_timer();
+    let build_span = dve_obs::trace::span("sample.build").detail(|| scheme.label().to_string());
     let values: Vec<u64> = match scheme {
         SamplingScheme::WithoutReplacement => without_replacement::sample_values(data, r, rng),
         SamplingScheme::WithReplacement => with_replacement::sample_values(data, r, rng),
@@ -116,8 +114,9 @@ pub fn sample_profile(
             block::sample_values(data, block_size, blocks, rng)
         }
     };
-    timer.stop();
-    obs.counter_labeled("sample.rows_scanned", scheme.label())
+    drop(build_span);
+    dve_obs::global()
+        .counter_labeled("sample.rows_scanned", scheme.label())
         .add(scheme.rows_scanned(n, r));
     profile_of_values(n, &values)
 }
@@ -346,7 +345,11 @@ mod tests {
         sample_profile(&data, 100, SamplingScheme::WithoutReplacement, &mut r).unwrap();
         let after = obs.counter_labeled("sample.rows_scanned", "wor").get();
         assert_eq!(after - before, 100);
-        assert!(obs.histogram_labeled("sample.build_ns", "wor").count() >= 1);
+        assert!(
+            obs.histogram_labeled(dve_obs::trace::SPAN_DURATION, "sample.build")
+                .count()
+                >= 1
+        );
     }
 
     #[test]

@@ -345,27 +345,23 @@ impl Server {
 /// the whole (sub-millisecond) request *is* queue wait.
 fn shed(job: Job, config: &ServeConfig) {
     let wait_start = trace::instant_ns(job.accepted_at);
+    let wait_ns = trace::now_ns().saturating_sub(wait_start);
     let root = trace::record_root_span(
         "serve.request",
         trace::TraceId::new(),
         wait_start,
-        trace::now_ns().saturating_sub(wait_start),
+        wait_ns,
         job.accept_tid,
-        Some("shed 429".to_string()),
+        Some("shed 429"),
     );
-    if let Some(ctx) = root {
-        trace::record_span(
-            "serve.queue_wait",
-            ctx,
-            wait_start,
-            trace::now_ns().saturating_sub(wait_start),
-            job.accept_tid,
-            Some("queue full".to_string()),
-        );
-    }
-    dve_obs::global()
-        .histogram("serve.queue_wait_ns")
-        .record(job.accepted_at.elapsed().as_nanos() as u64);
+    trace::record_span(
+        "serve.queue_wait",
+        root,
+        wait_start,
+        wait_ns,
+        job.accept_tid,
+        Some("queue full"),
+    );
     respond(
         job,
         config,
@@ -375,31 +371,29 @@ fn shed(job: Job, config: &ServeConfig) {
 
 /// Reads, routes, and answers one queued connection, recording the
 /// `serve.*` telemetry and the request's causal trace.
+///
+/// The `serve.request` span is backdated to accept, so its duration
+/// covers the queue wait as well as the handling.
 fn serve_one(job: Job, config: &ServeConfig, status: &api::ServeStatus, queue: &RequestQueue) {
     let obs = dve_obs::global();
-    let started = Instant::now();
-    let wait_ns = started
-        .saturating_duration_since(job.accepted_at)
-        .as_nanos() as u64;
-    obs.histogram("serve.queue_wait_ns").record(wait_ns);
+    let accepted_at = job.accepted_at;
+    let wait_ns = accepted_at.elapsed().as_nanos() as u64;
 
     // Handle deadline: if the request sat queued past the deadline, the
     // client is better served by a fast 504 than a stale answer.
-    if job.accepted_at.elapsed() > config.handle_deadline {
+    if accepted_at.elapsed() > config.handle_deadline {
         obs.counter_labeled("serve.requests", "expired").inc();
         let root = trace::root_span("serve.request")
-            .started_at(job.accepted_at)
+            .started_at(accepted_at)
             .detail(|| "expired 504".to_string());
-        if let Some(ctx) = root.context() {
-            trace::record_span(
-                "serve.queue_wait",
-                ctx,
-                trace::instant_ns(job.accepted_at),
-                wait_ns,
-                job.accept_tid,
-                None,
-            );
-        }
+        trace::record_span(
+            "serve.queue_wait",
+            root.context(),
+            trace::instant_ns(accepted_at),
+            wait_ns,
+            job.accept_tid,
+            None,
+        );
         respond(
             job,
             config,
@@ -432,26 +426,24 @@ fn serve_one(job: Job, config: &ServeConfig, status: &api::ServeStatus, queue: &
         },
         Err(_) => trace::root_span("serve.request"),
     }
-    .started_at(job.accepted_at);
+    .started_at(accepted_at);
     let root_ctx = root.context();
-    if let Some(ctx) = root_ctx {
-        trace::record_span(
-            "serve.queue_wait",
-            ctx,
-            trace::instant_ns(job.accepted_at),
-            wait_ns,
-            job.accept_tid,
-            None,
-        );
-        trace::record_span(
-            "serve.parse",
-            ctx,
-            trace::instant_ns(read_start),
-            read_ns,
-            trace::current_thread_id(),
-            None,
-        );
-    }
+    trace::record_span(
+        "serve.queue_wait",
+        root_ctx,
+        trace::instant_ns(accepted_at),
+        wait_ns,
+        job.accept_tid,
+        None,
+    );
+    trace::record_span(
+        "serve.parse",
+        root_ctx,
+        trace::instant_ns(read_start),
+        read_ns,
+        trace::current_thread_id(),
+        None,
+    );
 
     let mut route = "unreadable";
     let response = match read {
@@ -486,9 +478,8 @@ fn serve_one(job: Job, config: &ServeConfig, status: &api::ServeStatus, queue: &
     root.set_detail(|| format!("{route} {response_status}"));
     respond(job, config, response);
     drop(root);
-    let total_ns = started.elapsed().as_nanos() as u64;
-    obs.histogram("serve.request_ns").record(total_ns);
-    slow_request_log(root_ctx, route, response_status, wait_ns + total_ns);
+    let total_ns = accepted_at.elapsed().as_nanos() as u64;
+    slow_request_log(root_ctx, route, response_status, total_ns);
 }
 
 /// `DVE_TRACE_SLOW_MS` threshold, read once.

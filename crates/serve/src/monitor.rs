@@ -12,8 +12,8 @@
 //! state.
 //!
 //! The sampling coin is **deterministic**: SplitMix64 over the request's
-//! trace id ([`dve_obs::trace::mix64`]), so replaying a request with the
-//! same `X-Dve-Trace-Id` reproduces the sampling decision. Requests
+//! trace id ([`dve_numeric::rng::splitmix64`]), so replaying a request
+//! with the same `X-Dve-Trace-Id` reproduces the sampling decision. Requests
 //! without a trace context fall back to a process-local nonce. With the
 //! rate at `0.0` the decision is a single float compare — no trace
 //! lookup, no allocation — which the counting-allocator test pins.
@@ -23,6 +23,7 @@
 //! [`DEFAULT_MAX_RATIO_ERROR`]; anything else burns the error budget.
 
 use crate::pipeline::{EstimateOutcome, ShadowObservation};
+use dve_numeric::rng::splitmix64;
 use dve_obs::minijson::Writer;
 use dve_obs::window::{self, Exemplar, WINDOWS};
 use dve_obs::{audit, trace, SloConfig, SloTracker};
@@ -105,14 +106,14 @@ impl Monitor {
         if self.sample_rate >= 1.0 {
             return true;
         }
-        let key = match trace::current() {
+        let mut key = match trace::current() {
             Some(ctx) => ctx.trace_id.0,
             // No trace context (tracing off): an arbitrary but distinct
             // key per decision keeps the rate honest.
             None => self.nonce.fetch_add(1, Ordering::Relaxed) ^ 0xD1F5_71C7,
         };
         // Top 53 bits → uniform in [0, 1).
-        (trace::mix64(key) >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < self.sample_rate
+        (splitmix64(&mut key) >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < self.sample_rate
     }
 
     /// Records one shadow observation: windowed ratio error + coverage
@@ -309,6 +310,19 @@ mod tests {
         let half = Monitor::new(0.5);
         let hits = (0..10_000).filter(|_| half.should_sample()).count();
         assert!((3_000..7_000).contains(&hits), "hits={hits}");
+    }
+
+    #[test]
+    fn coin_at_a_fixed_trace_id_is_pinned() {
+        // SplitMix64(0xabc123) >> 11 scaled to [0, 1) is 0.1750554622066…;
+        // the two rates bracket it to 1e-10.
+        let ctx = trace::TraceContext {
+            trace_id: trace::TraceId(0xabc123),
+            span_id: trace::SpanId(1),
+        };
+        let _adopted = trace::adopt(Some(ctx));
+        assert!(!Monitor::new(0.175_055_462_2).should_sample());
+        assert!(Monitor::new(0.175_055_462_3).should_sample());
     }
 
     #[test]

@@ -98,7 +98,8 @@ fn outcome(
     let estimation = estimator.estimate_full(profile, design);
     estimate_span.set_detail(|| estimation.estimator.to_string());
     drop(estimate_span);
-    let gee = trace::with_span("pipeline.gee_interval", || gee_confidence_interval(profile));
+    let _gee_span = trace::span("pipeline.gee_interval");
+    let gee = gee_confidence_interval(profile);
     EstimateOutcome { estimation, gee }
 }
 

@@ -164,9 +164,8 @@ pub(crate) fn analyze_counted(
     let estimator = registry::by_name_instrumented(&options.estimator)?;
     let r = ((n as f64 * options.sampling_fraction).round() as u64).clamp(1, n);
 
+    let _span = dve_obs::trace::span("storage.analyze");
     let obs = dve_obs::global();
-    let analyze_ns = obs.histogram("storage.analyze_ns");
-    let _timer = analyze_ns.start_timer();
     obs.counter("storage.analyze.rows_sampled").add(r);
     obs.counter("storage.analyze.columns")
         .add(table.schema().len() as u64);

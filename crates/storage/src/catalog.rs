@@ -736,17 +736,18 @@ fn incremental_merge(
         let shards: Vec<_> = (old.spectrum.clone().map(|s| (s, old.design)).into_iter())
             .chain(new.spectrum.map(|s| (s, new_design)))
             .collect();
+        let overflow = || {
+            CatalogError::SchemaMismatch(format!(
+                "column {:?}: stored statistics and the new segment hold more than 2^64 - 1 rows",
+                old.name
+            ))
+        };
         let (spectrum, design) = if shards.is_empty() {
             // Still nothing but NULLs: the design still grows by the
             // segment's non-NULL population.
-            (None, old.design.merge(new_design))
+            (None, old.design.merge(new_design).ok_or_else(overflow)?)
         } else {
-            let (spectrum, design) = Spectrum::merge_designed(shards).ok_or_else(|| {
-                CatalogError::SchemaMismatch(format!(
-                    "column {:?}: stored statistics and the new segment hold more than 2^64 - 1 rows",
-                    old.name
-                ))
-            })?;
+            let (spectrum, design) = Spectrum::merge_designed(shards).ok_or_else(overflow)?;
             (Some(spectrum), design)
         };
         let (distinct_estimate, interval) =
@@ -1378,6 +1379,21 @@ mod tests {
             ),
             Err(CatalogError::SchemaMismatch(_))
         ));
+    }
+
+    #[test]
+    fn refresh_rejects_a_design_population_past_u64_max() {
+        // A sidecar may claim any WOR population for a column; adding the
+        // appended segment's population to `wor(u64::MAX)` has no answer.
+        let mut stats = build_table_stats(&int_table(&[1, 2, 3, 4]), "t", &opts(1.0), 1).unwrap();
+        stats.columns[0].design = SampleDesign::wor(u64::MAX);
+        let err = refresh_table_stats(
+            &int_table(&[1, 2, 3, 4, 5]),
+            &stats,
+            &RefreshPolicy::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CatalogError::SchemaMismatch(_)), "{err:?}");
     }
 
     #[test]

@@ -384,21 +384,16 @@ impl Column {
     /// Exact number of distinct non-NULL values (full scan; the ground
     /// truth the estimators are judged against).
     ///
-    /// Telemetry: counts scanned rows in `storage.scan.rows` and records
-    /// the scan latency in `storage.scan_ns`.
+    /// Telemetry: counts scanned rows in `storage.scan.rows` and times
+    /// the scan as the `storage.scan` span.
     pub fn exact_distinct(&self) -> u64 {
         fn scan_rows() -> &'static std::sync::Arc<dve_obs::Counter> {
             static C: std::sync::OnceLock<std::sync::Arc<dve_obs::Counter>> =
                 std::sync::OnceLock::new();
             C.get_or_init(|| dve_obs::global().counter("storage.scan.rows"))
         }
-        fn scan_ns() -> &'static std::sync::Arc<dve_obs::Histogram> {
-            static H: std::sync::OnceLock<std::sync::Arc<dve_obs::Histogram>> =
-                std::sync::OnceLock::new();
-            H.get_or_init(|| dve_obs::global().histogram("storage.scan_ns"))
-        }
         scan_rows().add(self.len() as u64);
-        let _timer = scan_ns().start_timer();
+        let _span = dve_obs::trace::span("storage.scan");
         match self {
             Column::Str { codes, dict, nulls } => {
                 if nulls.null_count() == 0 {

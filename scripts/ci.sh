@@ -163,6 +163,9 @@ grep -q '^serve_shed_total' "$tmpdir/metrics.prom"
 grep -q '^serve_queue_depth' "$tmpdir/metrics.prom"
 grep -q '^trace_dropped_spans' "$tmpdir/metrics.prom"
 grep -q '^trace_shard_occupancy{label="0"}' "$tmpdir/metrics.prom"
+# Every span times its layer into span_duration_ns, traced or not.
+grep -q '^span_duration_ns{label="serve.request",quantile="0.5"}' "$tmpdir/metrics.prom"
+grep -q 'label="pipeline.estimate"' "$tmpdir/metrics.prom"
 
 # Trace smoke: a traced request must yield a causally linked,
 # Perfetto-loadable Chrome trace spanning the accept and worker

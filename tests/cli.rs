@@ -225,7 +225,7 @@ fn estimate_with_metrics_json_emits_snapshot() {
     // Sampler latency, estimator latency percentiles, AE solver
     // iterations must all be populated by one instrumented run.
     for metric in [
-        "\"sample.build_ns\"",
+        "\"name\":\"span.duration_ns\",\"label\":\"sample.build\"",
         "\"sample.rows_scanned\"",
         "\"core.estimate.calls\"",
         "\"core.estimate_ns\"",
@@ -490,7 +490,86 @@ fn metrics_pretty_and_off_modes() {
         "metrics recorded despite DVE_METRICS=off: {json}"
     );
     assert!(
-        json.contains("\"name\":\"sample.build_ns\",\"label\":\"wor\",\"count\":0"),
+        json.contains("\"name\":\"span.duration_ns\",\"label\":\"sample.build\",\"count\":0"),
         "sampler histogram recorded despite DVE_METRICS=off: {json}"
     );
+}
+
+/// One HTTP/1.1 exchange with a `Connection: close` daemon.
+fn http(addr: &str, method: &str, path: &str, body: &str) -> String {
+    use std::io::Read;
+    let mut stream = std::net::TcpStream::connect(addr).expect("daemon accepts");
+    write!(
+        stream,
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    response
+}
+
+#[test]
+fn serve_with_tracing_off_times_every_layer_in_metrics() {
+    use std::io::BufRead;
+    // Tracing is a process-global switch, so the daemon runs as its own
+    // process. One worker makes the order deterministic: the estimate's
+    // spans are all recorded before the /metrics request is handled.
+    let mut child = dve()
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--trace",
+            "off",
+            "--jobs",
+            "1",
+        ])
+        .env("DVE_LOG", "pretty")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    let stderr = std::io::BufReader::new(child.stderr.take().unwrap());
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in stderr.lines().map_while(Result::ok) {
+            if let Some(rest) = line.split("listening on http://").nth(1) {
+                let _ = tx.send(rest.split_whitespace().next().unwrap_or("").to_string());
+            }
+        }
+    });
+    let addr = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("daemon reports its address");
+
+    let estimate = http(
+        &addr,
+        "POST",
+        "/v1/estimate",
+        r#"{"values":["a","b","a","c","d","d"],"fraction":0.5,"seed":7,"estimator":"GEE"}"#,
+    );
+    let metrics = http(&addr, "GET", "/metrics", "");
+    let _ = child.kill();
+    let _ = child.wait();
+
+    assert!(estimate.starts_with("HTTP/1.1 200"), "{estimate}");
+    for layer in [
+        "serve.request",
+        "serve.queue_wait",
+        "serve.parse",
+        "pipeline.estimate",
+        "serve.serialize",
+    ] {
+        let prefix = format!("span_duration_ns_count{{label=\"{layer}\"}} ");
+        let count: u64 = metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(&prefix))
+            .unwrap_or_else(|| panic!("no {prefix}in /metrics:\n{metrics}"))
+            .trim()
+            .parse()
+            .expect("integer count");
+        assert!(count >= 1, "{layer}: count {count}");
+    }
 }

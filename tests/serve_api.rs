@@ -180,7 +180,10 @@ fn happy_paths_and_metrics() {
         "{prom}"
     );
     assert!(prom.contains("serve_shed_total"), "{prom}");
-    assert!(prom.contains("serve_request_ns_count"), "{prom}");
+    assert!(
+        prom.contains("span_duration_ns_count{label=\"serve.request\"}"),
+        "{prom}"
+    );
 
     server.stop();
 }
